@@ -15,15 +15,17 @@ from .errors import (BibParseError, ConfigError, EmptySetError, InputError,
                      PlanningError, ProviderError, RealizationError, RefsumError,
                      StatsError, TemplateError)
 from .names import PersonName, parse_person_names
-from .plan import (DocumentPlan, Message, MessageKind, Paragraph, build_plan,
+from .plan import (AuthorList, CategoricalQuant, CombinedYearSelfCite, ContinuousRange,
+                   DocumentPlan, DominatingShape, FeatureWithComparison, GroupTopList,
+                   IntroWithLeadAttribute, Message, Paragraph, build_plan,
                    build_prodset_plan, build_refset_plan, plan_to_text)
 from .profile import (AuthorScore, CategoricalDistribution, ComparisonResult,
                       ContinuousSummary, DistributionEntry, FeatureImportance,
                       GroupTop, GroupTopEntry, Quantifier, SetProfile,
                       build_profile, categorical_distribution, continuous_summary,
-                      dominating_shape, feature_importance, profile_to_text,
-                      quantifier_for, self_citation_share, subset_vs_superset,
-                      top_authors, top_reference_per_group)
+                      feature_importance, profile_to_text, quantifier_for,
+                      self_citation_share, subset_vs_superset, top_authors,
+                      top_reference_per_group)
 from .realize import (RealizedSummary, aggregate_list, format_number,
                       format_percentage, format_year, quantifier_sentence, realize)
 from .records import (CitingPaper, ReferenceRecord, TaxonomyRule, VenueTaxonomy,

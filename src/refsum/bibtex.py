@@ -99,7 +99,9 @@ class _Scanner:
         the broken one never closes.
         """
         depth = 1
-        at_line_start = False
+        # _skip_ws may already have moved onto the next line's ``@``.
+        line_start = self.text.rfind("\n", 0, self.pos) + 1
+        at_line_start = not self.text[line_start:self.pos].strip()
         while self.pos < len(self.text):
             ch = self.text[self.pos]
             if at_line_start and ch == "@" and depth >= 1:

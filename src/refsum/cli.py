@@ -17,11 +17,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .bibtex import scan_bibtex
-from .config import (ComparisonBands, QuantifierThresholds, SummaryConfig,
+from .config import (ALGORITHMS, ComparisonBands, QuantifierThresholds, SummaryConfig,
                      default_prodset_config, default_refset_config)
 from .enrich import (CountCache, ScholarLookupProvider, StaticCountProvider,
                      enrich_citation_counts)
@@ -36,13 +36,8 @@ from .records import (CitingPaper, VenueTaxonomy, derive_self_citations,
 from .templates import TemplatePack, default_pack, load_template_pack_file
 
 CACHE_DIR_ENV = "REFSUM_CACHE_DIR"
-
-_CONFIG_KEYS = {
-    "algo", "taxonomy", "templates", "provider", "counts", "cache_dir",
-    "workers", "k", "unit", "noun", "show_counts", "paper_title",
-    "paper_authors", "quantifier_most", "quantifier_large", "compare_same",
-    "compare_slight", "author_score_mode", "strict", "emit", "endpoint",
-}
+EMIT_MODES = ("summary", "plan", "profile")
+PROVIDERS = ("off", "mock", "http")
 
 
 @dataclass
@@ -59,18 +54,21 @@ class RunConfig:
     cache_dir: str | None = None
     endpoint: str | None = None
     workers: int = 4
-    k: int = 7
+    k: int = SummaryConfig.author_k
     unit: str | None = None
     noun: str | None = None
     show_counts: bool | None = None
     paper_title: str = ""
     paper_authors: str = ""
-    quantifier_most: float = 0.5
-    quantifier_large: float = 0.2
-    compare_same: float = 0.02
-    compare_slight: float = 0.15
-    author_score_mode: str = "sum"
+    quantifier_most: float = QuantifierThresholds.most
+    quantifier_large: float = QuantifierThresholds.large
+    compare_same: float = ComparisonBands.same
+    compare_slight: float = ComparisonBands.slight
+    author_score_mode: str = SummaryConfig.author_score_mode
     strict: bool = False
+
+
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"input_path"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -96,16 +94,15 @@ def _merge_run_config(args: argparse.Namespace) -> RunConfig:
     env_cache = os.environ.get(CACHE_DIR_ENV)
     if env_cache:
         run.cache_dir = env_cache
-    for key in vars(run):
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
-        if flag is not None and key != "input_path":
+        if flag is not None:
             setattr(run, key, flag)
-    if run.emit not in ("summary", "plan", "profile"):
-        raise ConfigError(f"unknown emit mode {run.emit!r}")
-    if run.provider not in ("off", "mock", "http"):
-        raise ConfigError(f"unknown provider {run.provider!r}")
-    if run.algo not in ("refset", "prodset"):
-        raise ConfigError(f"unknown algorithm {run.algo!r}")
+    for what, value, choices in (("emit mode", run.emit, EMIT_MODES),
+                                 ("provider", run.provider, PROVIDERS),
+                                 ("algorithm", run.algo, ALGORITHMS)):
+        if value not in choices:
+            raise ConfigError(f"unknown {what} {value!r}")
     return run
 
 
@@ -159,49 +156,49 @@ def _build_provider(run: RunConfig):
     return ScholarLookupProvider(**kwargs)
 
 
+def _enrich(records: list, run: RunConfig, warnings: list[str]) -> list:
+    """Fill citation counts from the configured provider and cache, if any."""
+    provider = _build_provider(run)
+    cache = CountCache(run.cache_dir) if run.cache_dir else None
+    if provider is None and cache is None:
+        return records
+    records, report = enrich_citation_counts(records, provider, cache,
+                                             max_workers=run.workers)
+    warnings.append(report.summary())
+    warnings.extend(f"{rid}: {msg}" for rid, msg in report.failures)
+    return records
+
+
 def _assemble(run: RunConfig, warnings: list[str]) -> CitingPaper:
     records = _load_records(run, warnings)
     citing_authors = tuple(parse_person_names(run.paper_authors)) \
         if run.paper_authors else ()
     if citing_authors:
         records = derive_self_citations(records, citing_authors)
-    provider = _build_provider(run)
-    cache = CountCache(run.cache_dir) if run.cache_dir else None
-    if provider is not None or cache is not None:
-        records, report = enrich_citation_counts(records, provider, cache,
-                                                 max_workers=run.workers)
-        warnings.append(report.summary())
-        warnings.extend(f"{rid}: {msg}" for rid, msg in report.failures)
+    records = _enrich(records, run, warnings)
     return CitingPaper(title=run.paper_title, authors=citing_authors,
                        references=tuple(records))
 
 
 def _summary_config(run: RunConfig) -> SummaryConfig:
     base = default_refset_config() if run.algo == "refset" else default_prodset_config()
-    return base.with_overrides(
+    return replace(
+        base,
         author_k=run.k,
         author_score_mode=run.author_score_mode,
         quantifier_thresholds=QuantifierThresholds(most=run.quantifier_most,
                                                    large=run.quantifier_large),
         comparison_bands=ComparisonBands(same=run.compare_same,
                                          slight=run.compare_slight),
-        show_counts=run.show_counts if run.show_counts is not None else True,
-        unit=run.unit if run.unit is not None else "",
-        noun=run.noun,
-        template_pack=run.templates,
     )
 
 
-def _load_pack(config: SummaryConfig) -> TemplatePack:
-    pack = load_template_pack_file(config.template_pack) if config.template_pack \
-        else default_pack()
-    overrides: dict[str, str] = {}
-    if config.unit:
-        overrides["unit"] = config.unit
-    if config.noun:
-        overrides["noun"] = config.noun
-    overrides["show_counts"] = "yes" if config.show_counts else "no"
-    return pack.with_settings(**overrides)
+def _load_pack(run: RunConfig) -> TemplatePack:
+    """The run's template pack; the CLI always sets the pack's show_counts."""
+    pack = load_template_pack_file(run.templates) if run.templates else default_pack()
+    return pack.with_settings(
+        unit=run.unit or None, noun=run.noun or None,
+        show_counts="yes" if run.show_counts is None or run.show_counts else "no")
 
 
 def _emit(citing: CitingPaper, run: RunConfig, warnings: list[str]) -> str:
@@ -212,7 +209,7 @@ def _emit(citing: CitingPaper, run: RunConfig, warnings: list[str]) -> str:
     plan = build_plan(profile, config)
     if run.emit == "plan":
         return plan_to_text(plan)
-    return realize(plan, _load_pack(config)).full_text
+    return realize(plan, _load_pack(run)).full_text
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -248,13 +245,7 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
     if not run.cache_dir:
         raise ConfigError("enrich needs --cache-dir (or " + CACHE_DIR_ENV + ")")
     warnings: list[str] = []
-    records = _load_records(run, warnings)
-    provider = _build_provider(run)
-    cache = CountCache(run.cache_dir)
-    _, report = enrich_citation_counts(records, provider, cache,
-                                       max_workers=run.workers)
-    warnings.append(report.summary())
-    warnings.extend(f"{rid}: {msg}" for rid, msg in report.failures)
+    _enrich(_load_records(run, warnings), run, warnings)
     _flush_warnings(warnings)
     return 0
 
@@ -270,14 +261,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("input", help="bibliography (.bib) or line-delimited record file")
     parser.add_argument("--config", help="JSON config file (flags override it)")
     parser.add_argument("--taxonomy", help="venue taxonomy table (tab-separated)")
-    parser.add_argument("--provider", choices=["off", "mock", "http"], default=None,
-                        help="citation-count source (default off)")
+    parser.add_argument("--provider", choices=PROVIDERS, default=None,
+                        help=f"citation-count source (default {RunConfig.provider})")
     parser.add_argument("--counts", help="title->count JSON map for --provider mock")
     parser.add_argument("--endpoint", help="base URL for --provider http")
     parser.add_argument("--cache-dir", dest="cache_dir",
                         help=f"citation cache directory (or ${CACHE_DIR_ENV})")
     parser.add_argument("--workers", type=int, default=None,
-                        help="max concurrent provider lookups (default 4)")
+                        help=f"max concurrent provider lookups (default {RunConfig.workers})")
     parser.add_argument("--paper-title", dest="paper_title", default=None,
                         help="title of the citing paper")
     parser.add_argument("--paper-authors", dest="paper_authors", default=None,
@@ -290,7 +281,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_summary_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--templates", help="template pack file")
     parser.add_argument("--k", type=int, default=None,
-                        help="size of the author list (default 7)")
+                        help=f"size of the author list (default {SummaryConfig.author_k})")
     parser.add_argument("--unit", default=None, help="unit symbol for comparisons")
     parser.add_argument("--noun", default=None, help="noun for the summarised items")
     parser.add_argument("--no-counts", dest="show_counts", action="store_false",
@@ -306,10 +297,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_sum = sub.add_parser("summarize", help="summarise one bibliography")
     _add_common(p_sum)
     _add_summary_options(p_sum)
-    p_sum.add_argument("--algo", choices=["refset", "prodset"], default=None,
-                       help="summary algorithm (default refset)")
-    p_sum.add_argument("--emit", choices=["summary", "plan", "profile"], default=None,
-                       help="what to print (default summary)")
+    p_sum.add_argument("--algo", choices=ALGORITHMS, default=None,
+                       help=f"summary algorithm (default {RunConfig.algo})")
+    p_sum.add_argument("--emit", choices=EMIT_MODES, default=None,
+                       help=f"what to print (default {RunConfig.emit})")
     p_sum.set_defaults(func=_cmd_summarize)
 
     p_cmp = sub.add_parser("compare", help="both algorithms side by side")

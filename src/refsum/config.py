@@ -70,10 +70,6 @@ class SummaryConfig:
     author_score_mode: str = "sum"
     quantifier_thresholds: QuantifierThresholds = field(default_factory=QuantifierThresholds)
     comparison_bands: ComparisonBands = field(default_factory=ComparisonBands)
-    show_counts: bool = True
-    unit: str = ""
-    noun: str | None = None
-    template_pack: str | None = None
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -113,9 +109,6 @@ class SummaryConfig:
     def listed(self) -> tuple[AttributeSpec, ...]:
         return tuple(s for s in self.attributes if s.role == "listed")
 
-    def with_overrides(self, **changes) -> SummaryConfig:
-        return replace(self, **changes)
-
 
 def default_refset_config(**overrides) -> SummaryConfig:
     """The standard reference-set setup: venue type leads, authors close."""
@@ -129,7 +122,7 @@ def default_refset_config(**overrides) -> SummaryConfig:
             AttributeSpec("self_citation", "flag", "combined"),
         ),
     )
-    return config.with_overrides(**overrides) if overrides else config
+    return replace(config, **overrides)
 
 
 def default_prodset_config(**overrides) -> SummaryConfig:
@@ -143,4 +136,4 @@ def default_prodset_config(**overrides) -> SummaryConfig:
         ),
         dominating="citation_count",
     )
-    return config.with_overrides(**overrides) if overrides else config
+    return replace(config, **overrides)

@@ -179,7 +179,7 @@ def enrich_citation_counts(
     """
     report = EnrichmentReport()
     results: dict[int, int | None] = {}
-    pending: list[int] = []
+    pending: list[tuple[int, str, str]] = []   # (index, first-author family, key)
 
     for i, record in enumerate(records):
         if record.citation_count is not None:
@@ -193,21 +193,19 @@ def enrich_citation_counts(
             report.cache_hits += 1
             results[i] = cached
         else:
-            pending.append(i)
+            pending.append((i, family, key))
 
-    def fetch(i: int) -> tuple[int, int | None, str | None]:
-        record = records[i]
-        family = record.authors[0].family if record.authors else ""
+    def fetch(job: tuple[int, str, str]) -> tuple[int | None, str | None]:
+        i, family, _ = job
         try:
-            count = provider.resolve(record.title, family, record.year)
+            return provider.resolve(records[i].title, family, records[i].year), None
         except ProviderError as exc:
-            return i, None, str(exc)
-        return i, count, None
+            return None, str(exc)
 
     if provider is not None and pending:
         workers = max(1, min(max_workers, len(pending)))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, count, error in pool.map(fetch, pending):
+            for (i, _, key), (count, error) in zip(pending, pool.map(fetch, pending)):
                 record = records[i]
                 if error is not None:
                     report.failures.append((record.id, error))
@@ -217,8 +215,7 @@ def enrich_citation_counts(
                     report.provider_hits += 1
                     results[i] = count
                     if cache is not None:
-                        family = record.authors[0].family if record.authors else ""
-                        cache.put(lookup_key(record.title, family, record.year), count)
+                        cache.put(key, count)
     else:
         report.not_found += len(pending)
 

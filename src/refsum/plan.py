@@ -1,10 +1,11 @@
 """Document planning: fixed schemata turn a profile into ordered messages.
 
-A plan is wording-free. Each paragraph holds typed messages whose payloads
-are profile fragments; the realiser decides the sentences. The refset schema
-opens with the total fused with the lead attribute and closes with the
-author list; the prodset schema opens with the dominating column's shape and
-then walks the listed features in importance order.
+A plan is wording-free. Each paragraph holds typed messages, one frozen
+dataclass per message kind, whose fields are profile fragments; the
+realiser decides the sentences. The refset schema opens with the total
+fused with the lead attribute and closes with the author list; the prodset
+schema opens with the dominating column's shape and then walks the listed
+features in importance order.
 
 Paragraphs whose underlying data is entirely absent are skipped rather than
 realised as filler.
@@ -12,30 +13,79 @@ realised as filler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Any
+from dataclasses import dataclass, fields
+from typing import Any, Union
 
 from .config import SummaryConfig
 from .errors import PlanningError
-from .profile import SetProfile, CategoricalDistribution, UNKNOWN
-
-
-class MessageKind(Enum):
-    INTRO_WITH_LEAD = "IntroWithLeadAttribute"
-    CATEGORICAL_QUANT = "CategoricalQuant"
-    CONTINUOUS_RANGE = "ContinuousRange"
-    COMBINED_YEAR_SELF_CITE = "CombinedYearSelfCite"
-    GROUP_TOP_LIST = "GroupTopList"
-    AUTHOR_LIST = "AuthorList"
-    DOMINATING_SHAPE = "DominatingShape"
-    FEATURE_WITH_COMPARISON = "FeatureWithComparison"
+from .profile import (AuthorScore, CategoricalDistribution, ComparisonResult,
+                      ContinuousSummary, GroupTop, SetProfile, UNKNOWN)
 
 
 @dataclass(frozen=True)
-class Message:
-    kind: MessageKind
-    payload: dict[str, Any]
+class IntroWithLeadAttribute:
+    """Opening paragraph: the set size fused with the lead attribute's spread."""
+
+    total: int
+    distribution: CategoricalDistribution
+
+
+@dataclass(frozen=True)
+class CategoricalQuant:
+    """One quantifier sentence per value of a listed categorical attribute."""
+
+    distribution: CategoricalDistribution
+
+
+@dataclass(frozen=True)
+class ContinuousRange:
+    """Range and median of a listed continuous attribute."""
+
+    summary: ContinuousSummary
+
+
+@dataclass(frozen=True)
+class CombinedYearSelfCite:
+    """Year span fused with the self-citation share; either may be absent."""
+
+    summary: ContinuousSummary | None
+    share: float | None
+
+
+@dataclass(frozen=True)
+class GroupTopList:
+    """Each group's share of the set and its most cited member."""
+
+    group_top: GroupTop
+
+
+@dataclass(frozen=True)
+class AuthorList:
+    """The top authors; ``has_counts`` picks the counted or the listed wording."""
+
+    authors: tuple[AuthorScore, ...]
+    has_counts: bool
+
+
+@dataclass(frozen=True)
+class DominatingShape:
+    """Range and median of the dominating column over the whole set."""
+
+    total: int
+    summary: ContinuousSummary
+
+
+@dataclass(frozen=True)
+class FeatureWithComparison:
+    """A feature's spread, then its top value's dominating median against the set's."""
+
+    distribution: CategoricalDistribution
+    comparison: ComparisonResult | None
+
+
+Message = Union[IntroWithLeadAttribute, CategoricalQuant, ContinuousRange,
+                CombinedYearSelfCite, GroupTopList, AuthorList, DominatingShape,
+                FeatureWithComparison]
 
 
 @dataclass(frozen=True)
@@ -56,7 +106,7 @@ def _informative(dist: CategoricalDistribution | None) -> bool:
 
 
 def _require_distribution(profile: SetProfile, attribute: str) -> CategoricalDistribution:
-    dist = profile.distribution(attribute)
+    dist = profile.distributions.get(attribute)
     if dist is None:
         raise PlanningError(f"missing profile fragment: distribution '{attribute}'")
     return dist
@@ -69,10 +119,8 @@ def build_refset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPla
     lead = config.lead()
     if lead is None:
         raise PlanningError("missing profile fragment: lead attribute")
-    paragraphs = [Paragraph("intro", (Message(MessageKind.INTRO_WITH_LEAD, {
-        "total": profile.total,
-        "distribution": _require_distribution(profile, lead.name),
-    }),))]
+    paragraphs = [Paragraph("intro", (IntroWithLeadAttribute(
+        profile.total, _require_distribution(profile, lead.name)),))]
 
     combined_done = False
     for spec in config.attributes:
@@ -82,39 +130,33 @@ def build_refset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPla
             dist = _require_distribution(profile, spec.name)
             if not _informative(dist):
                 continue
-            paragraphs.append(Paragraph(spec.name, (Message(
-                MessageKind.CATEGORICAL_QUANT, {"distribution": dist}),)))
+            paragraphs.append(Paragraph(spec.name, (CategoricalQuant(dist),)))
         elif spec.role == "listed" and spec.kind == "continuous":
-            summary = profile.continuous_for(spec.name)
+            summary = profile.continuous.get(spec.name)
             if summary is None:
                 continue
-            paragraphs.append(Paragraph(spec.name, (Message(
-                MessageKind.CONTINUOUS_RANGE, {"summary": summary}),)))
+            paragraphs.append(Paragraph(spec.name, (ContinuousRange(summary),)))
         elif spec.role == "grouping":
-            top = profile.group_top(spec.name)
+            top = profile.group_tops.get(spec.name)
             if top is None:
                 raise PlanningError(f"missing profile fragment: group top '{spec.name}'")
             if not top.entries:
                 continue
-            paragraphs.append(Paragraph(spec.name, (Message(
-                MessageKind.GROUP_TOP_LIST, {"group_top": top}),)))
+            paragraphs.append(Paragraph(spec.name, (GroupTopList(top),)))
         elif spec.role == "combined" and not combined_done:
             combined_done = True
             year_spec = next((s for s in config.attributes
                               if s.role == "combined" and s.kind == "continuous"), None)
-            summary = profile.continuous_for(year_spec.name) if year_spec else None
+            summary = profile.continuous.get(year_spec.name) if year_spec else None
             share = profile.self_citation_share
             if summary is None and share is None:
                 continue
-            paragraphs.append(Paragraph("years", (Message(
-                MessageKind.COMBINED_YEAR_SELF_CITE,
-                {"summary": summary, "share": share}),)))
+            paragraphs.append(Paragraph("years", (CombinedYearSelfCite(summary, share),)))
 
     if profile.top_authors:
-        paragraphs.append(Paragraph("authors", (Message(MessageKind.AUTHOR_LIST, {
-            "authors": profile.top_authors,
-            "has_counts": any(a.counted_papers > 0 for a in profile.top_authors),
-        }),)))
+        paragraphs.append(Paragraph("authors", (AuthorList(
+            profile.top_authors,
+            any(a.counted_papers > 0 for a in profile.top_authors)),)))
     return DocumentPlan(algorithm="refset", paragraphs=tuple(paragraphs))
 
 
@@ -126,18 +168,14 @@ def build_prodset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPl
         raise PlanningError("missing profile fragment: dominating shape")
     if profile.importance is None:
         raise PlanningError("missing profile fragment: feature importance")
-    paragraphs = [Paragraph("shape", (Message(MessageKind.DOMINATING_SHAPE, {
-        "summary": profile.dominating_shape,
-        "attribute": config.dominating,
-        "total": profile.total,
-    }),))]
+    paragraphs = [Paragraph("shape", (DominatingShape(
+        profile.total, profile.dominating_shape),))]
     for attribute, _score in profile.importance.ranking:
         dist = _require_distribution(profile, attribute)
         if not _informative(dist):
             continue
-        paragraphs.append(Paragraph(attribute, (Message(
-            MessageKind.FEATURE_WITH_COMPARISON,
-            {"distribution": dist, "comparison": profile.comparison(attribute)}),)))
+        paragraphs.append(Paragraph(attribute, (FeatureWithComparison(
+            dist, profile.comparisons.get(attribute)),)))
     return DocumentPlan(algorithm="prodset", paragraphs=tuple(paragraphs))
 
 
@@ -147,34 +185,34 @@ def build_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPlan:
     return build_refset_plan(profile, config)
 
 
+def _field_text(name: str, value: Any) -> list[str]:
+    """``key=value`` items for one message field; an absent summary prints none."""
+    if isinstance(value, CategoricalDistribution):
+        return [f"attribute={value.attribute}", f"entries={len(value.entries)}"]
+    if isinstance(value, GroupTop):
+        return [f"attribute={value.group_attribute}", f"groups={len(value.entries)}"]
+    if name == "summary":
+        return [f"attribute={value.attribute}"] if value is not None else []
+    if name == "share":
+        return [f"share={'yes' if value is not None else 'no'}"]
+    if name == "authors":
+        return [f"authors={len(value)}"]
+    if name == "has_counts":
+        return [f"counted={'yes' if value else 'no'}"]
+    if name == "comparison":
+        return ["comparison=" + (f"{value.direction}/{value.magnitude}" if value else "none")]
+    return [f"{name}={value}"]
+
+
 def plan_to_text(plan: DocumentPlan) -> str:
-    """Stable line-oriented dump of a plan, for inspection and testing."""
+    """Stable line-oriented dump of a plan, for inspection and testing: each
+    message prints its class name, then its fields in declaration order."""
     lines = [f"plan\t{plan.algorithm}"]
     for paragraph in plan.paragraphs:
         lines.append(f"paragraph\t{paragraph.label}")
         for message in paragraph.messages:
-            detail = []
-            payload = message.payload
-            if "total" in payload:
-                detail.append(f"total={payload['total']}")
-            if payload.get("distribution") is not None:
-                dist = payload["distribution"]
-                detail.append(f"attribute={dist.attribute}")
-                detail.append(f"entries={len(dist.entries)}")
-            if payload.get("summary") is not None:
-                detail.append(f"attribute={payload['summary'].attribute}")
-            if "share" in payload:
-                detail.append(f"share={'yes' if payload['share'] is not None else 'no'}")
-            if payload.get("group_top") is not None:
-                top = payload["group_top"]
-                detail.append(f"attribute={top.group_attribute}")
-                detail.append(f"groups={len(top.entries)}")
-            if "authors" in payload:
-                detail.append(f"authors={len(payload['authors'])}")
-                detail.append(f"counted={'yes' if payload['has_counts'] else 'no'}")
-            if "comparison" in payload:
-                comp = payload["comparison"]
-                detail.append("comparison=" +
-                              (f"{comp.direction}/{comp.magnitude}" if comp else "none"))
-            lines.append("message\t" + "\t".join([message.kind.value] + detail))
+            detail = [type(message).__name__]
+            for f in fields(message):
+                detail += _field_text(f.name, getattr(message, f.name))
+            lines.append("message\t" + "\t".join(detail))
     return "\n".join(lines)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any
 
@@ -108,39 +108,18 @@ class FeatureImportance:
 
 @dataclass(frozen=True)
 class SetProfile:
+    """Every statistic of one set; the per-attribute fragments are keyed by
+    attribute name, in configuration order."""
+
     total: int
-    distributions: tuple[CategoricalDistribution, ...] = ()
-    continuous: tuple[ContinuousSummary, ...] = ()
+    distributions: dict[str, CategoricalDistribution] = field(default_factory=dict)
+    continuous: dict[str, ContinuousSummary] = field(default_factory=dict)
     dominating_shape: ContinuousSummary | None = None
-    group_tops: tuple[GroupTop, ...] = ()
+    group_tops: dict[str, GroupTop] = field(default_factory=dict)
     top_authors: tuple[AuthorScore, ...] = ()
     importance: FeatureImportance | None = None
-    comparisons: tuple[ComparisonResult, ...] = ()
+    comparisons: dict[str, ComparisonResult] = field(default_factory=dict)
     self_citation_share: float | None = None
-
-    def distribution(self, attribute: str) -> CategoricalDistribution | None:
-        for dist in self.distributions:
-            if dist.attribute == attribute:
-                return dist
-        return None
-
-    def continuous_for(self, attribute: str) -> ContinuousSummary | None:
-        for summary in self.continuous:
-            if summary.attribute == attribute:
-                return summary
-        return None
-
-    def group_top(self, attribute: str) -> GroupTop | None:
-        for top in self.group_tops:
-            if top.group_attribute == attribute:
-                return top
-        return None
-
-    def comparison(self, attribute: str) -> ComparisonResult | None:
-        for comp in self.comparisons:
-            if comp.attribute == attribute:
-                return comp
-        return None
 
 
 # -- record access ------------------------------------------------------------
@@ -193,7 +172,8 @@ def _record_title(record: Any) -> str:
 
 def quantifier_for(proportion: float,
                    thresholds: QuantifierThresholds = _DEFAULT_QT) -> Quantifier:
-    """Bucket a proportion: most >= 0.5, large proportion >= 0.2, else some."""
+    """Bucket a proportion: most at or above ``thresholds.most``, large
+    proportion at or above ``thresholds.large``, else some."""
     if not 0.0 < proportion <= 1.0:
         raise ValueError(f"proportion {proportion!r} outside (0, 1]")
     if proportion >= thresholds.most:
@@ -236,11 +216,6 @@ def continuous_summary(records: Sequence[Any], attribute: str) -> ContinuousSumm
     return ContinuousSummary(attribute=attribute, minimum=min(values),
                              maximum=max(values), median=_median(values),
                              count=len(values))
-
-
-def dominating_shape(records: Sequence[Any], dominating_attribute: str) -> ContinuousSummary:
-    """Shape of the dominating column: its range and centering."""
-    return continuous_summary(records, dominating_attribute)
 
 
 def _top_rank_key(record: Any) -> tuple:
@@ -290,8 +265,9 @@ def top_reference_per_group(records: Sequence[Any], group_attribute: str,
     return GroupTop(group_attribute=group_attribute, entries=tuple(entries))
 
 
-def top_authors(records: Sequence[Any], k: int = 7, *,
-                score_mode: str = "sum") -> tuple[AuthorScore, ...]:
+def top_authors(records: Sequence[Any], k: int = SummaryConfig.author_k, *,
+                score_mode: str = SummaryConfig.author_score_mode,
+                ) -> tuple[AuthorScore, ...]:
     """The k authors whose references carry the highest citation counts.
 
     An author's score is the sum (or max) of counts over the references that
@@ -418,14 +394,12 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
         raise EmptySetError("the reference list is empty")
     qt = config.quantifier_thresholds
 
-    distributions = tuple(
-        categorical_distribution(records, spec.name, qt)
-        for spec in config.categorical()
-    )
-    continuous = []
+    distributions = {spec.name: categorical_distribution(records, spec.name, qt)
+                     for spec in config.categorical()}
+    continuous = {}
     for spec in config.continuous():
         try:
-            continuous.append(continuous_summary(records, spec.name))
+            continuous[spec.name] = continuous_summary(records, spec.name)
         except StatsError as exc:
             warnings.append(f"profile: {exc}")
 
@@ -441,19 +415,19 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
 
     shape = None
     importance = None
-    comparisons: list[ComparisonResult] = []
-    group_tops: list[GroupTop] = []
+    comparisons: dict[str, ComparisonResult] = {}
+    group_tops: dict[str, GroupTop] = {}
     authors: tuple[AuthorScore, ...] = ()
 
     if config.algorithm == "refset":
         for spec in config.attributes:
             if spec.role == "grouping":
-                group_tops.append(top_reference_per_group(records, spec.name, qt))
+                group_tops[spec.name] = top_reference_per_group(records, spec.name, qt)
         authors = top_authors(records, config.author_k,
                               score_mode=config.author_score_mode)
     else:
         try:
-            shape = dominating_shape(records, config.dominating)
+            shape = continuous_summary(records, config.dominating)
         except StatsError as exc:
             warnings.append(f"profile: {exc}")
         listed = [spec.name for spec in config.listed()]
@@ -461,28 +435,28 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
             importance = feature_importance(records, config.dominating, listed)
         except StatsError as exc:
             warnings.append(f"profile: {exc}")
-        for dist in distributions:
-            if dist.attribute not in listed or not dist.entries:
+        for attribute, dist in distributions.items():
+            if attribute not in listed or not dist.entries:
                 continue
             top_value = dist.entries[0].value
             subset = [r for r in records
-                      if categorical_value(r, dist.attribute) == top_value]
+                      if categorical_value(r, attribute) == top_value]
             try:
-                comparisons.append(subset_vs_superset(
+                comparisons[attribute] = subset_vs_superset(
                     subset, records, config.dominating, config.comparison_bands,
-                    attribute=dist.attribute, feature_value=top_value))
+                    attribute=attribute, feature_value=top_value)
             except StatsError as exc:
-                warnings.append(f"profile: {dist.attribute}: {exc}")
+                warnings.append(f"profile: {attribute}: {exc}")
 
     return SetProfile(
         total=len(records),
         distributions=distributions,
-        continuous=tuple(continuous),
+        continuous=continuous,
         dominating_shape=shape,
-        group_tops=tuple(group_tops),
+        group_tops=group_tops,
         top_authors=authors,
         importance=importance,
-        comparisons=tuple(comparisons),
+        comparisons=comparisons,
         self_citation_share=share,
     )
 
@@ -492,11 +466,11 @@ def profile_to_text(profile: SetProfile) -> str:
     lines = [f"total\t{profile.total}"]
     if profile.self_citation_share is not None:
         lines.append(f"self_citation_share\t{profile.self_citation_share!r}")
-    for dist in profile.distributions:
+    for dist in profile.distributions.values():
         lines.append(f"distribution\t{dist.attribute}\ttotal={dist.total}")
         for e in dist.entries:
             lines.append(f"entry\t{e.value}\t{e.count}\t{e.proportion!r}\t{e.bucket.label}")
-    for summary in profile.continuous:
+    for summary in profile.continuous.values():
         lines.append(
             f"continuous\t{summary.attribute}\tmin={summary.minimum!r}"
             f"\tmax={summary.maximum!r}\tmedian={summary.median!r}\tcount={summary.count}")
@@ -504,7 +478,7 @@ def profile_to_text(profile: SetProfile) -> str:
         s = profile.dominating_shape
         lines.append(f"shape\t{s.attribute}\tmin={s.minimum!r}\tmax={s.maximum!r}"
                      f"\tmedian={s.median!r}\tcount={s.count}")
-    for top in profile.group_tops:
+    for top in profile.group_tops.values():
         lines.append(f"group_top\t{top.group_attribute}")
         for e in top.entries:
             count = e.top_count if e.top_count is not None else "-"
@@ -516,7 +490,7 @@ def profile_to_text(profile: SetProfile) -> str:
     if profile.importance is not None:
         for attribute, score in profile.importance.ranking:
             lines.append(f"importance\t{attribute}\t{score!r}")
-    for c in profile.comparisons:
+    for c in profile.comparisons.values():
         lines.append(f"comparison\t{c.attribute}\t{c.feature_value}"
                      f"\tsub={c.subset_median!r}\tsup={c.superset_median!r}"
                      f"\t{c.direction}\t{c.magnitude}")

@@ -1,7 +1,7 @@
 """Surface realisation: render a document plan to English text.
 
 Rendering is pure formatting. Every number in the output comes straight
-from the plan payload; the only transformations applied here are rounding
+from the plan's messages; the only transformations applied here are rounding
 for display, percentage formatting, and list aggregation. Output is
 byte-stable across runs and platforms: no locale, no randomness.
 """
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 
 from .errors import RealizationError
-from .plan import DocumentPlan, Message, MessageKind
-from .profile import (AuthorScore, CategoricalDistribution, ComparisonResult,
-                      ContinuousSummary, GroupTop, Quantifier)
+from .plan import (AuthorList, CategoricalQuant, CombinedYearSelfCite, ContinuousRange,
+                   DocumentPlan, DominatingShape, FeatureWithComparison, GroupTopList,
+                   IntroWithLeadAttribute)
+from .profile import AuthorScore, CategoricalDistribution, ContinuousSummary, Quantifier
 from .templates import TemplatePack, default_pack
 
 _SLOT_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -120,30 +121,28 @@ def _continuous_slots(pack: TemplatePack, summary: ContinuousSummary) -> dict[st
     }
 
 
-def _render_intro(pack: TemplatePack, message: Message) -> str:
-    dist = message.payload["distribution"]
-    lead = " ".join(_quant_block(pack, dist))
+def _render_intro(pack: TemplatePack, message: IntroWithLeadAttribute) -> str:
+    lead = " ".join(_quant_block(pack, message.distribution))
     return _fill(pack.template("intro.lead"), {
-        "total": str(message.payload["total"]),
+        "total": str(message.total),
         "noun": pack.noun, "Noun": _capitalized(pack.noun),
         "lead_sentences": lead,
     }, context="intro.lead")
 
 
-def _render_quant(pack: TemplatePack, message: Message) -> str:
-    return " ".join(_quant_block(pack, message.payload["distribution"]))
+def _render_quant(pack: TemplatePack, message: CategoricalQuant) -> str:
+    return " ".join(_quant_block(pack, message.distribution))
 
 
-def _render_range(pack: TemplatePack, message: Message) -> str:
-    summary = message.payload["summary"]
+def _render_range(pack: TemplatePack, message: ContinuousRange) -> str:
+    summary = message.summary
     slots = _continuous_slots(pack, summary)
     return _fill(pack.template(f"range.{summary.attribute}", "range"),
                  slots, context="range")
 
 
-def _render_year_selfcite(pack: TemplatePack, message: Message) -> str:
-    summary: ContinuousSummary | None = message.payload["summary"]
-    share: float | None = message.payload["share"]
+def _render_year_selfcite(pack: TemplatePack, message: CombinedYearSelfCite) -> str:
+    summary, share = message.summary, message.share
     slots = {"noun": pack.noun, "Noun": _capitalized(pack.noun)}
     if share is not None:
         slots["share"] = format_percentage(share)
@@ -159,8 +158,8 @@ def _render_year_selfcite(pack: TemplatePack, message: Message) -> str:
     return _fill(pack.template(key), slots, context=key)
 
 
-def _render_group_tops(pack: TemplatePack, message: Message) -> str:
-    top: GroupTop = message.payload["group_top"]
+def _render_group_tops(pack: TemplatePack, message: GroupTopList) -> str:
+    top = message.group_top
     sentences = []
     for i, entry in enumerate(top.entries):
         sentences.append(quantifier_sentence(
@@ -199,11 +198,10 @@ def _author_item(pack: TemplatePack, author: AuthorScore) -> str:
                  context="authors.item.plain")
 
 
-def _render_authors(pack: TemplatePack, message: Message) -> str:
-    authors: tuple[AuthorScore, ...] = message.payload["authors"]
-    has_counts: bool = message.payload["has_counts"]
+def _render_authors(pack: TemplatePack, message: AuthorList) -> str:
+    authors = message.authors
     listing = aggregate_list([_author_item(pack, a) for a in authors])
-    variant = "counted" if has_counts else "uncounted"
+    variant = "counted" if message.has_counts else "uncounted"
     key = f"authors.{variant}.single" if len(authors) == 1 else f"authors.{variant}"
     return _fill(pack.template(key), {
         "k": str(len(authors)), "authors": listing,
@@ -211,19 +209,19 @@ def _render_authors(pack: TemplatePack, message: Message) -> str:
     }, context=key)
 
 
-def _render_shape(pack: TemplatePack, message: Message) -> str:
-    summary: ContinuousSummary = message.payload["summary"]
+def _render_shape(pack: TemplatePack, message: DominatingShape) -> str:
+    summary = message.summary
     slots = _continuous_slots(pack, summary)
-    slots["total"] = str(message.payload.get("total", summary.count))
+    slots["total"] = str(message.total)
     if summary.minimum == summary.maximum:
         slots["value"] = format_number(summary.minimum)
         return _fill(pack.template("shape.single"), slots, context="shape.single")
     return _fill(pack.template("shape"), slots, context="shape")
 
 
-def _render_feature(pack: TemplatePack, message: Message) -> str:
-    sentences = [" ".join(_quant_block(pack, message.payload["distribution"]))]
-    comparison: ComparisonResult | None = message.payload.get("comparison")
+def _render_feature(pack: TemplatePack, message: FeatureWithComparison) -> str:
+    sentences = [" ".join(_quant_block(pack, message.distribution))]
+    comparison = message.comparison
     if comparison is not None:
         subject = _fill(
             pack.template(f"subject.{comparison.attribute}", "subject.default"),
@@ -241,14 +239,14 @@ def _render_feature(pack: TemplatePack, message: Message) -> str:
 
 
 _RENDERERS = {
-    MessageKind.INTRO_WITH_LEAD: _render_intro,
-    MessageKind.CATEGORICAL_QUANT: _render_quant,
-    MessageKind.CONTINUOUS_RANGE: _render_range,
-    MessageKind.COMBINED_YEAR_SELF_CITE: _render_year_selfcite,
-    MessageKind.GROUP_TOP_LIST: _render_group_tops,
-    MessageKind.AUTHOR_LIST: _render_authors,
-    MessageKind.DOMINATING_SHAPE: _render_shape,
-    MessageKind.FEATURE_WITH_COMPARISON: _render_feature,
+    IntroWithLeadAttribute: _render_intro,
+    CategoricalQuant: _render_quant,
+    ContinuousRange: _render_range,
+    CombinedYearSelfCite: _render_year_selfcite,
+    GroupTopList: _render_group_tops,
+    AuthorList: _render_authors,
+    DominatingShape: _render_shape,
+    FeatureWithComparison: _render_feature,
 }
 
 
@@ -259,9 +257,10 @@ def realize(plan: DocumentPlan, pack: TemplatePack | None = None) -> RealizedSum
     for paragraph in plan.paragraphs:
         pieces = []
         for message in paragraph.messages:
-            renderer = _RENDERERS.get(message.kind)
+            renderer = _RENDERERS.get(type(message))
             if renderer is None:
-                raise RealizationError(f"no renderer for message kind {message.kind}")
+                raise RealizationError(
+                    f"no renderer for message kind {type(message).__name__}")
             pieces.append(renderer(pack, message))
         text = " ".join(p for p in pieces if p)
         paragraphs.append("\n".join(line.rstrip() for line in text.splitlines()).strip())

@@ -43,9 +43,6 @@ class TemplatePack:
                 return self.templates[key]
         raise TemplateError(f"no template for any of: {', '.join(candidates)}")
 
-    def has_template(self, key: str) -> bool:
-        return key in self.templates
-
     def lexeme(self, attribute: str, token: str) -> str:
         by_attr = self.lexicon.get(attribute, {})
         if token in by_attr:

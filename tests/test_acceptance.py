@@ -11,8 +11,8 @@ import time
 
 from oracles import (brute_distribution, brute_group_tops, brute_importance,
                      brute_self_citation_share, brute_top_authors)
-from refsum import (CitingPaper, MessageKind, PersonName, Quantifier,
-                    ReferenceRecord, build_plan, build_profile,
+from refsum import (AuthorList, CitingPaper, IntroWithLeadAttribute, PersonName,
+                    Quantifier, ReferenceRecord, build_plan, build_profile,
                     build_refset_plan, categorical_distribution,
                     continuous_summary, default_prodset_config,
                     default_refset_config, feature_importance,
@@ -37,7 +37,7 @@ def _ok(n: int, message: str) -> None:
 def test_criterion_1_golden_sentences(fixture20_paper):
     config = default_refset_config()
     profile = build_profile(fixture20_paper, config)
-    dist = profile.distribution("venue_type")
+    dist = profile.distributions["venue_type"]
     assert [e.proportion for e in dist.entries] == [0.55, 0.30, 0.15]
     plan = build_refset_plan(profile, config)
     intro = realize(plan).paragraphs[0]
@@ -79,10 +79,10 @@ def test_criterion_3_refset_structure(fixture20_paper):
     assert config.author_k == 7
     plan = build_refset_plan(build_profile(fixture20_paper, config), config)
     first, last = plan.paragraphs[0], plan.paragraphs[-1]
-    assert first.messages[0].kind == MessageKind.INTRO_WITH_LEAD
-    assert first.messages[0].payload["distribution"].attribute == "venue_type"
-    assert last.messages[0].kind == MessageKind.AUTHOR_LIST
-    assert len(last.messages[0].payload["authors"]) == 7
+    assert isinstance(first.messages[0], IntroWithLeadAttribute)
+    assert first.messages[0].distribution.attribute == "venue_type"
+    assert isinstance(last.messages[0], AuthorList)
+    assert len(last.messages[0].authors) == 7
     _ok(3, "intro+venue first, 7-author list last, k defaults to 7")
 
 

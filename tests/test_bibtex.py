@@ -118,6 +118,17 @@ def test_lenient_scan_recovers_after_malformed_entry():
     assert len(errors) == 1 and errors[0].cite_key == "bad"
 
 
+def test_entry_on_the_line_after_a_malformed_one_survives():
+    text = ("@article{a, title={One}, year=2020}\n"
+            "@article{b, title={Two {unclosed}, year=2021}\n"
+            "@article{c, title={Three}, year=2022}\n"
+            "@article{d, title={Four}, year=2023}\n")
+    entries, issues = scan_bibtex(text)
+    assert [e.cite_key for e in entries] == ["a", "c", "d"]
+    errors = [i for i in issues if i.severity == "error"]
+    assert len(errors) == 1 and errors[0].cite_key == "b"
+
+
 def test_round_trip_on_fixture_corpus(data_dir):
     for name in ("fixture20.bib", "fixture43.bib", "malformed.bib"):
         entries, _ = scan_bibtex((data_dir / name).read_text())

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from refsum.cli import main
 
 FIXTURE_ARGS = ["--taxonomy", "tests/data/fixture.tax",
@@ -54,6 +56,19 @@ def test_emit_plan(capsys, data_dir):
     assert code == 0
     assert out.startswith("plan\trefset\n")
     assert "paragraph\tauthors" in out
+
+
+@pytest.mark.parametrize("algo", ["refset", "prodset"])
+@pytest.mark.parametrize("emit", ["plan", "profile"])
+def test_emit_dump_is_pinned(capsys, data_dir, algo, emit):
+    code, out, _ = _run(capsys, "summarize", str(data_dir / "fixture43.bib"),
+                        "--taxonomy", str(data_dir / "fixture.tax"),
+                        "--provider", "mock",
+                        "--counts", str(data_dir / "fixture43_counts.json"),
+                        "--paper-authors", "Alice Novak and Robert Chen",
+                        "--algo", algo, "--emit", emit)
+    assert code == 0
+    assert out == (data_dir / "dumps" / f"{algo}_{emit}.txt").read_text()
 
 
 def test_unreadable_path_exit_one(capsys, tmp_path):

@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
-from refsum import (CitingPaper, MessageKind, PlanningError, ReferenceRecord,
+from refsum import (AuthorList, CategoricalQuant, CitingPaper, CombinedYearSelfCite,
+                    DominatingShape, FeatureWithComparison, GroupTopList,
+                    IntroWithLeadAttribute, PlanningError, ReferenceRecord,
                     build_prodset_plan, build_refset_plan, build_profile,
                     default_prodset_config, default_refset_config, plan_to_text)
 
@@ -24,12 +26,11 @@ def test_refset_default_plan_structure(refset_profile):
     assert plan.algorithm == "refset"
     assert [p.label for p in plan.paragraphs] == \
         ["intro", "domain", "subdomain", "years", "authors"]
-    kinds = [p.messages[0].kind for p in plan.paragraphs]
-    assert kinds == [MessageKind.INTRO_WITH_LEAD, MessageKind.CATEGORICAL_QUANT,
-                     MessageKind.GROUP_TOP_LIST, MessageKind.COMBINED_YEAR_SELF_CITE,
-                     MessageKind.AUTHOR_LIST]
-    assert plan.paragraphs[0].messages[0].payload["total"] == 20
-    assert len(plan.paragraphs[-1].messages[0].payload["authors"]) == 7
+    kinds = [type(p.messages[0]) for p in plan.paragraphs]
+    assert kinds == [IntroWithLeadAttribute, CategoricalQuant, GroupTopList,
+                     CombinedYearSelfCite, AuthorList]
+    assert plan.paragraphs[0].messages[0].total == 20
+    assert len(plan.paragraphs[-1].messages[0].authors) == 7
 
 
 def test_refset_plan_is_pure(refset_profile):
@@ -55,25 +56,25 @@ def test_refset_zero_selfcitation_share_still_planned(fixture20_paper):
     profile = build_profile(CitingPaper(references=cleared), default_refset_config())
     plan = build_refset_plan(profile, default_refset_config())
     years = next(p for p in plan.paragraphs if p.label == "years")
-    assert years.messages[0].payload["share"] == 0.0
+    assert years.messages[0].share == 0.0
 
 
 def test_refset_missing_fragment_names_it(refset_profile):
     config = default_refset_config()
-    broken = dataclasses.replace(refset_profile, distributions=())
+    broken = dataclasses.replace(refset_profile, distributions={})
     with pytest.raises(PlanningError, match="venue_type"):
         build_refset_plan(broken, config)
 
 
 def test_refset_never_plans_dominating_shape(refset_profile):
     plan = build_refset_plan(refset_profile, default_refset_config())
-    kinds = {m.kind for p in plan.paragraphs for m in p.messages}
-    assert MessageKind.DOMINATING_SHAPE not in kinds
+    kinds = {type(m) for p in plan.paragraphs for m in p.messages}
+    assert DominatingShape not in kinds
 
 
 def test_attribute_order_controls_middle_paragraphs(refset_profile):
     config = default_refset_config()
-    reordered = config.with_overrides(attributes=(
+    reordered = dataclasses.replace(config, attributes=(
         config.attributes[0],   # lead
         config.attributes[3],   # year (combined)
         config.attributes[4],   # self_citation (combined)
@@ -89,18 +90,18 @@ def test_prodset_plan_shape_first_then_importance_order(prodset_profile):
     plan = build_prodset_plan(prodset_profile, default_prodset_config())
     assert plan.algorithm == "prodset"
     assert plan.paragraphs[0].label == "shape"
-    assert plan.paragraphs[0].messages[0].kind == MessageKind.DOMINATING_SHAPE
+    assert isinstance(plan.paragraphs[0].messages[0], DominatingShape)
     ranked = [name for name, _ in prodset_profile.importance.ranking]
     assert [p.label for p in plan.paragraphs[1:]] == ranked
     for paragraph in plan.paragraphs[1:]:
         message = paragraph.messages[0]
-        assert message.kind == MessageKind.FEATURE_WITH_COMPARISON
-        assert message.payload["distribution"].attribute == paragraph.label
+        assert isinstance(message, FeatureWithComparison)
+        assert message.distribution.attribute == paragraph.label
 
 
 def test_prodset_single_listed_feature_gives_two_paragraphs(fixture20_paper):
     config = default_prodset_config()
-    config = config.with_overrides(attributes=(config.attributes[0],))
+    config = dataclasses.replace(config, attributes=(config.attributes[0],))
     profile = build_profile(fixture20_paper, config)
     plan = build_prodset_plan(profile, config)
     assert len(plan.paragraphs) == 2
@@ -120,15 +121,14 @@ def test_every_configured_attribute_in_exactly_one_message(refset_profile):
     seen: list[str] = []
     for paragraph in plan.paragraphs:
         for message in paragraph.messages:
-            payload = message.payload
-            if message.kind == MessageKind.INTRO_WITH_LEAD:
-                seen.append(payload["distribution"].attribute)
-            elif message.kind == MessageKind.CATEGORICAL_QUANT:
-                seen.append(payload["distribution"].attribute)
-            elif message.kind == MessageKind.GROUP_TOP_LIST:
-                seen.append(payload["group_top"].group_attribute)
-            elif message.kind == MessageKind.COMBINED_YEAR_SELF_CITE:
-                seen.append(payload["summary"].attribute)
+            if isinstance(message, IntroWithLeadAttribute):
+                seen.append(message.distribution.attribute)
+            elif isinstance(message, CategoricalQuant):
+                seen.append(message.distribution.attribute)
+            elif isinstance(message, GroupTopList):
+                seen.append(message.group_top.group_attribute)
+            elif isinstance(message, CombinedYearSelfCite):
+                seen.append(message.summary.attribute)
                 seen.append("self_citation")
     assert sorted(seen) == sorted(s.name for s in config.attributes)
 

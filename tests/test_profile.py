@@ -7,7 +7,7 @@ from oracles import (brute_distribution, brute_group_tops, brute_importance,
 from refsum import (CitingPaper, EmptySetError, Quantifier, ReferenceRecord,
                     StatsError, categorical_distribution, continuous_summary,
                     default_prodset_config, default_refset_config,
-                    dominating_shape, feature_importance, parse_person_names,
+                    feature_importance, parse_person_names,
                     self_citation_share, subset_vs_superset, top_authors,
                     top_reference_per_group)
 from refsum.profile import build_profile, quantifier_for
@@ -119,16 +119,16 @@ def test_continuous_fully_absent():
 
 def test_dominating_shape_examples():
     prices = [{"id": i, "price": p} for i, p in enumerate([450, 475, 500])]
-    shape = dominating_shape(prices, "price")
+    shape = continuous_summary(prices, "price")
     assert (shape.minimum, shape.maximum, shape.median) == (450, 500, 475)
 
     flat = [{"id": i, "count": 10} for i in range(4)]
-    shape = dominating_shape(flat, "count")
+    shape = continuous_summary(flat, "count")
     assert (shape.minimum, shape.maximum, shape.median) == (10, 10, 10)
 
     # frozen from the sort-and-midpoint oracle
     counts = [{"id": i, "citation_count": c} for i, c in enumerate([0, 1, 5, 100])]
-    shape = dominating_shape(counts, "citation_count")
+    shape = continuous_summary(counts, "citation_count")
     assert (shape.minimum, shape.maximum, shape.median) == (0, 100, 3.0)
     assert shape.median == brute_median([0, 1, 5, 100])
 
@@ -371,23 +371,23 @@ def test_profile_without_continuous_attributes(fixture20_records):
     config = default_refset_config(attributes=(
         *[s for s in default_refset_config().attributes if s.kind != "continuous"],))
     profile = build_profile(CitingPaper(references=tuple(fixture20_records)), config)
-    assert profile.continuous == ()
+    assert profile.continuous == {}
 
 
 def test_profile_full_default_against_oracles(fixture20_paper):
     profile = build_profile(fixture20_paper, default_refset_config())
     records = fixture20_paper.references
     assert profile.total == 20
-    for dist in profile.distributions:
+    for dist in profile.distributions.values():
         if dist.attribute == "self_citation":
             continue
         assert {e.value: (e.count, e.proportion) for e in dist.entries} == \
             brute_distribution(records, dist.attribute)
-    year = profile.continuous_for("year")
+    year = profile.continuous["year"]
     assert (year.minimum, year.maximum) == (1998, 2015)
     assert year.median == brute_median([r.year for r in records])
     assert profile.self_citation_share == brute_self_citation_share(records) == 0.15
-    tops = profile.group_top("subdomain")
+    tops = profile.group_tops["subdomain"]
     assert {e.group_value: e.top_reference for e in tops.entries} == \
         brute_group_tops(records, "subdomain")
     assert [(a.author.normalized_key, a.score, a.paper_count)
@@ -396,18 +396,23 @@ def test_profile_full_default_against_oracles(fixture20_paper):
     assert profile.dominating_shape is None
     # every configured attribute appears exactly once across the fragments
     config = default_refset_config()
-    assert sorted(d.attribute for d in profile.distributions) == \
+    assert sorted(d.attribute for d in profile.distributions.values()) == \
         sorted(s.name for s in config.categorical())
-    assert [c.attribute for c in profile.continuous] == \
+    assert [c.attribute for c in profile.continuous.values()] == \
         [s.name for s in config.continuous()]
+    # each fragment is keyed by its own attribute
+    for fragments in (profile.distributions, profile.continuous):
+        assert all(key == value.attribute for key, value in fragments.items())
+    assert all(key == top.group_attribute for key, top in profile.group_tops.items())
 
 
 def test_profile_prodset_fragments(fixture20_paper):
     profile = build_profile(fixture20_paper, default_prodset_config())
     assert profile.dominating_shape is not None
     assert profile.importance is not None
-    assert [c.attribute for c in profile.comparisons] == \
+    assert [c.attribute for c in profile.comparisons.values()] == \
         [s.name for s in default_prodset_config().listed()]
+    assert all(key == c.attribute for key, c in profile.comparisons.items())
     assert profile.top_authors == ()
 
 

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+from typing import get_args
+
 import pytest
 
 from oracles import brute_percentage
-from refsum import (CitingPaper, DocumentPlan, Message, MessageKind, Paragraph,
-                    Quantifier, RealizationError, ReferenceRecord, TemplateError,
+from refsum import (AuthorList, CategoricalQuant, CitingPaper, CombinedYearSelfCite,
+                    ContinuousRange, DocumentPlan, DominatingShape,
+                    FeatureWithComparison, GroupTopList, IntroWithLeadAttribute,
+                    Message, Paragraph, Quantifier, RealizationError,
+                    ReferenceRecord, TemplateError,
                     aggregate_list, build_plan, build_profile, build_refset_plan,
                     default_prodset_config, default_refset_config, format_number,
                     format_percentage, format_year, load_template_pack,
@@ -104,15 +109,14 @@ def test_quantifier_sentence_bad_position():
 # -- golden sentence block ---------------------------------------------------------
 
 def test_golden_venue_paragraph_character_for_character():
-    plan = DocumentPlan("refset", (Paragraph("venue_type", (Message(
-        MessageKind.CATEGORICAL_QUANT, {"distribution": _venue_dist()}),)),))
+    plan = DocumentPlan("refset", (Paragraph("venue_type", (
+        CategoricalQuant(_venue_dist()),)),))
     assert realize(plan).paragraphs[0] == GOLDEN_VENUE
 
 
 def test_intro_fuses_total_with_venue_sentences():
-    plan = DocumentPlan("refset", (Paragraph("intro", (Message(
-        MessageKind.INTRO_WITH_LEAD,
-        {"total": 20, "distribution": _venue_dist()}),)),))
+    plan = DocumentPlan("refset", (Paragraph("intro", (
+        IntroWithLeadAttribute(total=20, distribution=_venue_dist()),)),))
     assert realize(plan).paragraphs[0] == f"This paper cites 20 references. {GOLDEN_VENUE}"
 
 
@@ -148,7 +152,7 @@ def test_prodset_tv_fixture_realises_paper_style_comparison():
         dominating="price")
     citing = CitingPaper(references=tuple(tv_records()))
     profile = build_profile(citing, config)
-    comparison = profile.comparison("connectivity")
+    comparison = profile.comparisons["connectivity"]
     assert (comparison.direction, comparison.magnitude) == ("higher", "slightly")
     assert (comparison.subset_median, comparison.superset_median) == (475, 450)
     pack = load_template_pack(TV_PACK).with_settings(noun="TVs")
@@ -166,16 +170,14 @@ def _author(key_given, family, score, papers, counted):
 
 
 def test_author_list_counted_and_uncounted_variants():
-    counted = Message(MessageKind.AUTHOR_LIST, {
-        "authors": (_author("Ann", "Ash", 30, 2, 2), _author("Ben", "Birch", 1, 1, 1)),
-        "has_counts": True})
+    counted = AuthorList(
+        authors=(_author("Ann", "Ash", 30, 2, 2), _author("Ben", "Birch", 1, 1, 1)),
+        has_counts=True)
     text = realize(DocumentPlan("refset", (Paragraph("authors", (counted,)),))).full_text
     assert text == ("The 2 authors with the highest citation counts are "
                     "Ann Ash (30 citations) and Ben Birch (1 citation).")
 
-    uncounted = Message(MessageKind.AUTHOR_LIST, {
-        "authors": (_author("Ann", "Ash", 0, 2, 0),),
-        "has_counts": False})
+    uncounted = AuthorList(authors=(_author("Ann", "Ash", 0, 2, 0),), has_counts=False)
     text = realize(DocumentPlan("refset", (Paragraph("authors", (uncounted,)),))).full_text
     assert text == "The most frequently listed author is Ann Ash."
 
@@ -186,8 +188,7 @@ def test_group_top_variants():
                              top_title="Find Me", top_year=2001)
 
     def render(count, show_counts=True):
-        message = Message(MessageKind.GROUP_TOP_LIST, {
-            "group_top": GroupTop("subdomain", (entry(count),))})
+        message = GroupTopList(GroupTop("subdomain", (entry(count),)))
         pack = default_pack().with_settings(show_counts="yes" if show_counts else "no")
         return realize(DocumentPlan("refset", (Paragraph("g", (message,)),)), pack).full_text
 
@@ -199,8 +200,7 @@ def test_group_top_variants():
 
 def test_year_selfcite_variants():
     def render(summary, share):
-        message = Message(MessageKind.COMBINED_YEAR_SELF_CITE,
-                          {"summary": summary, "share": share})
+        message = CombinedYearSelfCite(summary=summary, share=share)
         return realize(DocumentPlan("refset", (Paragraph("years", (message,)),))).full_text
 
     span = ContinuousSummary("year", 1998, 2015, 2011.5, 20)
@@ -215,9 +215,8 @@ def test_year_selfcite_variants():
 
 
 def test_shape_single_value_variant():
-    message = Message(MessageKind.DOMINATING_SHAPE, {
-        "summary": ContinuousSummary("citation_count", 10, 10, 10, 4),
-        "attribute": "citation_count", "total": 4})
+    message = DominatingShape(
+        total=4, summary=ContinuousSummary("citation_count", 10, 10, 10, 4))
     text = realize(DocumentPlan("prodset", (Paragraph("shape", (message,)),))).full_text
     assert text == "All 4 references share the same citation count of 10."
 
@@ -226,8 +225,7 @@ def test_shape_single_value_variant():
 
 def test_missing_template_is_an_error_naming_the_kind():
     pack = load_template_pack("[settings]\nnoun = things\n")
-    plan = DocumentPlan("refset", (Paragraph("v", (Message(
-        MessageKind.CATEGORICAL_QUANT, {"distribution": _venue_dist()}),)),))
+    plan = DocumentPlan("refset", (Paragraph("v", (CategoricalQuant(_venue_dist()),)),))
     with pytest.raises(TemplateError, match="quant.most.first"):
         realize(plan, pack)
 
@@ -235,9 +233,8 @@ def test_missing_template_is_an_error_naming_the_kind():
 def test_unresolved_placeholder_is_an_error_naming_the_slot():
     pack = load_template_pack(
         "[settings]\nnoun = refs\n[quant.most.first]\nMost {nonsense} here.\n")
-    plan = DocumentPlan("refset", (Paragraph("v", (Message(
-        MessageKind.CATEGORICAL_QUANT, {"distribution": CategoricalDistribution(
-            "venue_type", (DistributionEntry("a", 1, 1.0, Quantifier.MOST),), 1)}),)),))
+    plan = DocumentPlan("refset", (Paragraph("v", (CategoricalQuant(CategoricalDistribution(
+        "venue_type", (DistributionEntry("a", 1, 1.0, Quantifier.MOST),), 1)),)),))
     with pytest.raises(RealizationError, match="nonsense"):
         realize(plan, pack)
 
@@ -282,19 +279,19 @@ def test_default_pack_covers_every_plannable_message(fixture20_paper):
         profile = build_profile(paper, config)
         plan = build_plan(profile, config)
         realize(plan)  # must not raise
-        seen |= {m.kind for p in plan.paragraphs for m in p.messages}
+        seen |= {type(m) for p in plan.paragraphs for m in p.messages}
     # the two kinds the default schemas do not emit still need templates
     extra = DocumentPlan("refset", (
-        Paragraph("r", (Message(MessageKind.CONTINUOUS_RANGE, {
-            "summary": ContinuousSummary("pages", 1.0, 30.5, 12.25, 5)}),)),
-        Paragraph("c", (Message(MessageKind.FEATURE_WITH_COMPARISON, {
-            "distribution": _venue_dist(),
-            "comparison": ComparisonResult("venue_type", "proceedings",
-                                           50, 50, "same", "same")}),)),
+        Paragraph("r", (ContinuousRange(
+            ContinuousSummary("pages", 1.0, 30.5, 12.25, 5)),)),
+        Paragraph("c", (FeatureWithComparison(
+            distribution=_venue_dist(),
+            comparison=ComparisonResult("venue_type", "proceedings",
+                                        50, 50, "same", "same")),)),
     ))
     realize(extra)
-    seen |= {m.kind for p in extra.paragraphs for m in p.messages}
-    assert seen == set(MessageKind)
+    seen |= {type(m) for p in extra.paragraphs for m in p.messages}
+    assert seen == set(get_args(Message))
 
 
 def test_realization_is_byte_stable(fixture20_paper):
@@ -314,27 +311,26 @@ def test_every_output_number_comes_from_the_plan(fixture20_paper):
     allowed: set[str] = set()
     for paragraph in plan.paragraphs:
         for message in paragraph.messages:
-            payload = message.payload
-            if "total" in payload:
-                allowed.add(str(payload["total"]))
-            if payload.get("distribution") is not None:
-                for e in payload["distribution"].entries:
+            if hasattr(message, "total"):
+                allowed.add(str(message.total))
+            if getattr(message, "distribution", None) is not None:
+                for e in message.distribution.entries:
                     allowed.add(format_percentage(e.proportion).rstrip("%"))
-            if payload.get("summary") is not None:
-                s = payload["summary"]
+            if getattr(message, "summary", None) is not None:
+                s = message.summary
                 allowed |= {str(int(s.minimum)), str(int(s.maximum)),
                             format_year(s.median), format_number(s.median)}
-            if payload.get("share") is not None:
-                allowed.add(format_percentage(payload["share"]).rstrip("%"))
-            if payload.get("group_top") is not None:
-                for e in payload["group_top"].entries:
+            if getattr(message, "share", None) is not None:
+                allowed.add(format_percentage(message.share).rstrip("%"))
+            if getattr(message, "group_top", None) is not None:
+                for e in message.group_top.entries:
                     allowed.add(format_percentage(e.share).rstrip("%"))
                     if e.top_count is not None:
                         allowed.add(str(e.top_count))
                     allowed |= set(re.findall(r"\d+", e.top_title))
-            if "authors" in payload:
-                allowed.add(str(len(payload["authors"])))
-                for a in payload["authors"]:
+            if hasattr(message, "authors"):
+                allowed.add(str(len(message.authors)))
+                for a in message.authors:
                     allowed.add(str(a.score))
     text = realize(plan).full_text
     assert set(re.findall(r"\d+", text)) <= allowed
