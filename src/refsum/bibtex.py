@@ -14,7 +14,9 @@ is the strict wrapper that raises on the first error.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import BibParseError
 
@@ -23,6 +25,7 @@ _CITE_KEY = re.compile(r"[^\s,{}()]+")
 _FIELD_NAME = re.compile(r"[^\s=,{}()\"#]+")
 _MACRO_NAME = re.compile(r"[^\s,#{}()\"]+")
 _NUMBER = re.compile(r"[0-9]+")
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 _SKIPPED_KINDS = ("comment", "preamble")
 
@@ -72,11 +75,17 @@ class _Scanner:
         self.issues: list[ParseIssue] = []
         self.macros: dict[str, str] = {}
         self._first_seen: dict[str, int] = {}
+        # Offsets are UTF-8 byte offsets: a position plus the extra bytes of
+        # the non-ASCII characters before it. ``_extra[i]`` is the sum over
+        # the first ``i`` of them, so one bisect finds any position's offset.
+        self._wide_pos = [m.start() for m in _NON_ASCII.finditer(text)]
+        self._extra = [0, *accumulate(len(text[p].encode("utf-8")) - 1
+                                      for p in self._wide_pos)]
 
     # -- helpers ----------------------------------------------------------
 
     def _byte(self, pos: int) -> int:
-        return len(self.text[:pos].encode("utf-8"))
+        return pos + self._extra[bisect_left(self._wide_pos, pos)]
 
     def _issue(self, severity: str, message: str, pos: int,
                cite_key: str | None = None) -> None:
@@ -91,6 +100,22 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
+    def _at_line_start(self, pos: int) -> bool:
+        """True if only whitespace precedes ``pos`` on its line."""
+        line_start = self.text.rfind("\n", 0, pos) + 1
+        return not self.text[line_start:pos].strip()
+
+    def _skip_to_next_block(self, pos: int) -> None:
+        """Resume at the first line-start ``@`` after ``pos``, or at the end.
+
+        Used after a value that never closes: everything up to the next block
+        belongs to the broken one, but the blocks after it survive.
+        """
+        at = self.text.find("@", pos)
+        while at != -1 and not self._at_line_start(at):
+            at = self.text.find("@", at + 1)
+        self.pos = len(self.text) if at == -1 else at
+
     def _recover(self, close_ch: str) -> None:
         """Skip past the rest of a broken entry.
 
@@ -100,8 +125,7 @@ class _Scanner:
         """
         depth = 1
         # _skip_ws may already have moved onto the next line's ``@``.
-        line_start = self.text.rfind("\n", 0, self.pos) + 1
-        at_line_start = not self.text[line_start:self.pos].strip()
+        at_line_start = self._at_line_start(self.pos)
         while self.pos < len(self.text):
             ch = self.text[self.pos]
             if at_line_start and ch == "@" and depth >= 1:
@@ -236,7 +260,7 @@ class _Scanner:
             value = self._read_value(None)
         except _Unbalanced as exc:
             self._issue("error", f"unbalanced braces in @string '{name}'", exc.open_pos)
-            self.pos = len(self.text)
+            self._skip_to_next_block(exc.open_pos)
             return
         except _ValueSyntax as exc:
             self._issue("error", exc.message + f" in @string '{name}'", exc.pos)
@@ -321,7 +345,7 @@ class _Scanner:
             except _Unbalanced as exc:
                 self._issue("error", f"unbalanced braces in entry '{cite_key}'",
                             exc.open_pos, cite_key)
-                self.pos = len(self.text)
+                self._skip_to_next_block(exc.open_pos)
                 return False
             except _ValueSyntax as exc:
                 self._issue("error", exc.message + f" in entry '{cite_key}'",

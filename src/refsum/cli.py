@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .bibtex import scan_bibtex
 from .config import (ALGORITHMS, ComparisonBands, QuantifierThresholds, SummaryConfig,
@@ -71,6 +72,16 @@ class RunConfig:
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"input_path"}
 
 
+def _accepted_types(annotation) -> tuple[type, ...]:
+    """The JSON value types a field takes: its own, with int allowed for float."""
+    types = get_args(annotation) or (annotation,)
+    return types + (int,) if float in types else types
+
+
+_CONFIG_TYPES = {key: _accepted_types(hint)
+                 for key, hint in get_type_hints(RunConfig).items() if key in _CONFIG_KEYS}
+
+
 def _load_config_file(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -83,6 +94,12 @@ def _load_config_file(path: str) -> dict:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"config file {path}: unknown keys {sorted(unknown)}")
+    for key, value in data.items():
+        if type(value) not in _CONFIG_TYPES[key]:
+            expected = " or ".join("null" if t is type(None) else t.__name__
+                                   for t in _CONFIG_TYPES[key])
+            raise ConfigError(f"config file {path}: key {key!r} must be {expected}, "
+                              f"not {type(value).__name__}")
     return data
 
 
@@ -195,7 +212,10 @@ def _summary_config(run: RunConfig) -> SummaryConfig:
 
 def _load_pack(run: RunConfig) -> TemplatePack:
     """The run's template pack; the CLI always sets the pack's show_counts."""
-    pack = load_template_pack_file(run.templates) if run.templates else default_pack()
+    try:
+        pack = load_template_pack_file(run.templates) if run.templates else default_pack()
+    except OSError as exc:
+        raise ConfigError(f"cannot read template pack {run.templates}: {exc}")
     return pack.with_settings(
         unit=run.unit or None, noun=run.noun or None,
         show_counts="yes" if run.show_counts is None or run.show_counts else "no")

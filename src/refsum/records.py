@@ -12,6 +12,7 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigError, RecordFileError
@@ -123,9 +124,13 @@ class TaxonomyRule:
     domain: str | None = None
     subdomain: str | None = None
 
+    @cached_property
+    def _regex(self) -> re.Pattern[str]:
+        return re.compile(r"(?<![A-Za-z0-9])" + re.escape(self.pattern) + r"(?![A-Za-z0-9])",
+                          re.IGNORECASE)
+
     def matches(self, venue_name: str) -> bool:
-        return re.search(r"(?<![A-Za-z0-9])" + re.escape(self.pattern) + r"(?![A-Za-z0-9])",
-                         venue_name, re.IGNORECASE) is not None
+        return self._regex.search(venue_name) is not None
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import re
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refsum import BibParseError, parse_bibtex, scan_bibtex, serialize_entries
+
+# BibTeX punctuation and block openers, plus 2-, 3- and 4-byte UTF-8 characters.
+_FRAGMENTS = ["@misc{", "@misc{k,", "@string{", "@comment{", "@", "{", "}", "(", ")", ",",
+              "=", "title=", "#", '"', " ", "\n", "k", "2020", "é", "€", "😀"]
+bib_like_text = st.lists(st.sampled_from(_FRAGMENTS), max_size=60).map("".join)
 
 
 def test_single_entry_field_mapping():
@@ -119,14 +128,75 @@ def test_lenient_scan_recovers_after_malformed_entry():
 
 
 def test_entry_on_the_line_after_a_malformed_one_survives():
-    text = ("@article{a, title={One}, year=2020}\n"
-            "@article{b, title={Two {unclosed}, year=2021}\n"
-            "@article{c, title={Three}, year=2022}\n"
-            "@article{d, title={Four}, year=2023}\n")
+    # b's title is followed by junk, or never closes
+    for title in ("{Two {unclosed}", "{Two {unclosed"):
+        text = ("@article{a, title={One}, year=2020}\n"
+                f"@article{{b, title={title}, year=2021}}\n"
+                "@article{c, title={Three}, year=2022}\n"
+                "@article{d, title={Four}, year=2023}\n")
+        entries, issues = scan_bibtex(text)
+        assert [e.cite_key for e in entries] == ["a", "c", "d"]
+        errors = [i for i in issues if i.severity == "error"]
+        assert len(errors) == 1 and errors[0].cite_key == "b"
+
+
+def test_unbalanced_macro_costs_only_the_macro():
+    text = ("@string{j = {Journal {of Things}\n"
+            "@article{c, journal={J}, title={Three}}\n")
     entries, issues = scan_bibtex(text)
-    assert [e.cite_key for e in entries] == ["a", "c", "d"]
-    errors = [i for i in issues if i.severity == "error"]
-    assert len(errors) == 1 and errors[0].cite_key == "b"
+    assert [e.cite_key for e in entries] == ["c"]
+    assert [i.message for i in issues] == ["unbalanced braces in @string 'j'"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bib_like_text)
+def test_offsets_are_utf8_byte_offsets(text):
+    data = text.encode("utf-8")
+    entries, issues = scan_bibtex(text)
+    for entry in entries:
+        assert data[entry.offset:].decode("utf-8").startswith("@")
+    for issue in issues:
+        assert 0 <= issue.offset <= len(data)
+        data[:issue.offset].decode("utf-8")  # raises if inside a character
+
+
+def test_offsets_after_multibyte_characters_are_pinned():
+    text = ("% Références — 😀\n"
+            "@misc{café, note={€ one}}\n"
+            "@article{x1, author={Zoë 😀 Müller}, title={T}}\n"
+            "@misc{café, note={two}}\n"
+            "@book{bad title={Ünïcode}}\n"
+            "@misc{ok, note={fine}, month=été}\n")
+    entries, issues = scan_bibtex(text)
+    assert [(e.cite_key, e.offset) for e in entries] == [("café", 24), ("x1", 53), ("ok", 159)]
+    assert [(i.message, i.offset, i.cite_key) for i in issues] == [
+        ("duplicate cite key 'café' (first at byte 24, again at byte 105)", 105, "café"),
+        ("expected ',' after cite key 'bad'", 140, "bad"),
+        ("undefined macro 'été' kept verbatim", 188, "ok"),
+    ]
+
+
+def _scaled_fixture(data_dir, copies: int) -> str:
+    base = (data_dir / "fixture43.bib").read_text()
+    return "".join(
+        re.sub(r"^(@\w+\{)([^,]+),", rf"\g<1>\g<2>-{i},", base, flags=re.M)
+        .replace("author = {", "author = {Zoë 😀 Ångström and ")
+        for i in range(copies))
+
+
+def test_scan_time_grows_linearly(data_dir):
+    small, large = _scaled_fixture(data_dir, 5), _scaled_fixture(data_dir, 40)
+    entries, issues = scan_bibtex(large)
+    assert len(entries) == 8 * 5 * 43 and not issues
+    best = {small: float("inf"), large: float("inf")}
+    for _ in range(3):  # interleaved, so both sizes see the same machine load
+        for text in (small, large):
+            start = time.perf_counter()
+            scan_bibtex(text)
+            best[text] = min(best[text], time.perf_counter() - start)
+    # 8x the entries: about 8x the time when linear, 29-43x for the old
+    # prefix-re-encoding scan at this size (64x only asymptotically).
+    assert best[large] < 20 * best[small]
 
 
 def test_round_trip_on_fixture_corpus(data_dir):

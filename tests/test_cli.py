@@ -177,6 +177,24 @@ def test_config_file_unknown_key_exit_two(capsys, data_dir, tmp_path):
     assert "unknown keys" in err
 
 
+def test_config_file_wrong_value_type_exit_two(capsys, data_dir, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"workers": "2", "provider": "mock",
+                                  "counts": str(data_dir / "fixture20_counts.json")}))
+    code, _, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
+                        "--config", str(config))
+    assert code == 2
+    assert "configuration error" in err and "'workers' must be int, not str" in err
+
+
+def test_missing_template_pack_exit_two(capsys, data_dir, tmp_path):
+    missing = tmp_path / "nonexistent.pack"
+    code, out, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
+                          "--templates", str(missing))
+    assert code == 2 and out == ""
+    assert "configuration error" in err and "cannot read template pack" in err
+
+
 def test_cache_dir_env_override(capsys, data_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("REFSUM_CACHE_DIR", str(tmp_path))
     code, _, _ = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
