@@ -221,6 +221,7 @@ class _Scanner:
             # bare @comment without a group: nothing to skip
             return
         close_ch = "}" if ch == "{" else ")"
+        open_pos = self.pos
         self.pos += 1
         depth = 1
         while self.pos < len(self.text):
@@ -234,6 +235,7 @@ class _Scanner:
                     return
             self.pos += 1
         self._issue("error", f"unbalanced braces in @{kind} block", at)
+        self._skip_to_next_block(open_pos)
 
     def _read_macro_def(self, at: int) -> None:
         ch = self._peek()

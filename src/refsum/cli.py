@@ -22,12 +22,12 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .bibtex import scan_bibtex
-from .config import (ALGORITHMS, ComparisonBands, QuantifierThresholds, SummaryConfig,
-                     default_prodset_config, default_refset_config)
+from .config import (ALGORITHMS, LOOKUP_WORKERS, ComparisonBands, QuantifierThresholds,
+                     SummaryConfig, default_prodset_config, default_refset_config)
 from .enrich import (CountCache, ScholarLookupProvider, StaticCountProvider,
                      enrich_citation_counts)
-from .errors import (BibParseError, ConfigError, EmptySetError, InputError,
-                     PlanningError, RealizationError, RefsumError)
+from .errors import (BibParseError, ConfigError, InputError, PlanningError,
+                     RealizationError, RefsumError)
 from .names import parse_person_names
 from .plan import build_plan, plan_to_text
 from .profile import build_profile, profile_to_text
@@ -54,7 +54,7 @@ class RunConfig:
     counts: str | None = None
     cache_dir: str | None = None
     endpoint: str | None = None
-    workers: int = 4
+    workers: int = LOOKUP_WORKERS
     k: int = SummaryConfig.author_k
     unit: str | None = None
     noun: str | None = None
@@ -249,7 +249,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     warnings: list[str] = []
     citing = _assemble(run, warnings)
     sections = []
-    for algo in ("refset", "prodset"):
+    for algo in ALGORITHMS:
         run.algo = algo
         run.emit = "summary"
         sections.append(f"[{algo}]\n{_emit(citing, run, warnings)}")
@@ -346,9 +346,6 @@ def main(argv: list[str] | None = None) -> int:
     except (PlanningError, RealizationError) as exc:
         print(f"refsum: {exc}", file=sys.stderr)
         return 3
-    except (InputError, EmptySetError) as exc:
-        print(f"refsum: {exc}", file=sys.stderr)
-        return 1
     except RefsumError as exc:
         print(f"refsum: {exc}", file=sys.stderr)
         return 1

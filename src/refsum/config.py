@@ -22,6 +22,7 @@ ALGORITHMS = ("refset", "prodset")
 ATTRIBUTE_KINDS = ("categorical", "continuous", "flag")
 ATTRIBUTE_ROLES = ("lead", "listed", "grouping", "combined")
 SCORE_MODES = ("sum", "max")
+LOOKUP_WORKERS = 4  # concurrent citation-count lookups
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Protocol
 
+from .config import LOOKUP_WORKERS
 from .errors import ProviderError
 from .records import ReferenceRecord
 
@@ -169,7 +170,7 @@ def enrich_citation_counts(
     provider: CitationProvider | None,
     cache: CountCache | None = None,
     *,
-    max_workers: int = 4,
+    max_workers: int = LOOKUP_WORKERS,
 ) -> tuple[list[ReferenceRecord], EnrichmentReport]:
     """Fill absent citation counts from cache first, then the provider.
 

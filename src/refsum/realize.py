@@ -9,7 +9,6 @@ byte-stable across runs and platforms: no locale, no randomness.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 
@@ -17,10 +16,8 @@ from .errors import RealizationError
 from .plan import (AuthorList, CategoricalQuant, CombinedYearSelfCite, ContinuousRange,
                    DocumentPlan, DominatingShape, FeatureWithComparison, GroupTopList,
                    IntroWithLeadAttribute)
-from .profile import AuthorScore, CategoricalDistribution, ContinuousSummary, Quantifier
+from .profile import AuthorScore, ContinuousSummary, Quantifier
 from .templates import TemplatePack, default_pack
-
-_SLOT_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 @dataclass(frozen=True)
@@ -63,19 +60,6 @@ def aggregate_list(items: list[str]) -> str:
     return ", ".join(items[:-1]) + " and " + items[-1]
 
 
-def _fill(template: str, slots: dict[str, str], *, context: str) -> str:
-    def sub(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in slots:
-            raise RealizationError(f"{context}: unresolved placeholder '{name}'")
-        return slots[name]
-    return _SLOT_RE.sub(sub, template)
-
-
-def _capitalized(noun: str) -> str:
-    return noun[0].upper() + noun[1:] if noun else noun
-
-
 # -- sentence builders ----------------------------------------------------------
 
 def quantifier_sentence(bucket: Quantifier, value: str, percentage: str,
@@ -88,114 +72,80 @@ def quantifier_sentence(bucket: Quantifier, value: str, percentage: str,
     pack = pack or default_pack()
     base = f"quant.{bucket.label}.{position}"
     keys = (f"quant.{attribute}.{bucket.label}.{position}", base) if attribute else (base,)
-    template = pack.template(*keys)
-    return _fill(template, {
-        "noun": pack.noun, "Noun": _capitalized(pack.noun),
-        "value": value, "percentage": percentage,
-    }, context=base)
+    return pack.render(*keys, value=value, percentage=percentage)
 
 
-def _quant_block(pack: TemplatePack, dist: CategoricalDistribution) -> list[str]:
-    sentences = []
-    for i, entry in enumerate(dist.entries):
-        sentences.append(quantifier_sentence(
-            entry.bucket,
-            pack.lexeme(dist.attribute, entry.value),
-            format_percentage(entry.proportion),
-            "first" if i == 0 else "subsequent",
-            pack=pack, attribute=dist.attribute,
-        ))
-    return sentences
+def _quant_item(pack: TemplatePack, attribute: str, index: int, bucket: Quantifier,
+                token: str, share: float) -> str:
+    """The quantifier sentence for the ``index``-th value of ``attribute``."""
+    return quantifier_sentence(bucket, pack.lexeme(attribute, token), format_percentage(share),
+                               "first" if index == 0 else "subsequent",
+                               pack=pack, attribute=attribute)
+
+
+def _render_quant(pack: TemplatePack, message: CategoricalQuant | IntroWithLeadAttribute
+                  | FeatureWithComparison) -> str:
+    """One quantifier sentence per value of the message's distribution."""
+    dist = message.distribution
+    return " ".join(_quant_item(pack, dist.attribute, i, e.bucket, e.value, e.proportion)
+                    for i, e in enumerate(dist.entries))
 
 
 def _continuous_slots(pack: TemplatePack, summary: ContinuousSummary) -> dict[str, str]:
-    is_year = summary.attribute == "year"
-    fmt = format_year if is_year else format_number
-    return {
-        "attribute": pack.lexeme("attributes", summary.attribute),
-        "min": format_number(summary.minimum) if not is_year else str(int(summary.minimum)),
-        "max": format_number(summary.maximum) if not is_year else str(int(summary.maximum)),
-        "median": fmt(summary.median),
-        "noun": pack.noun, "Noun": _capitalized(pack.noun),
-        "unit": pack.unit,
-    }
+    fmt = format_year if summary.attribute == "year" else format_number
+    return {"attribute": pack.lexeme("attributes", summary.attribute),
+            "min": fmt(summary.minimum), "max": fmt(summary.maximum),
+            "median": fmt(summary.median)}
 
 
 def _render_intro(pack: TemplatePack, message: IntroWithLeadAttribute) -> str:
-    lead = " ".join(_quant_block(pack, message.distribution))
-    return _fill(pack.template("intro.lead"), {
-        "total": str(message.total),
-        "noun": pack.noun, "Noun": _capitalized(pack.noun),
-        "lead_sentences": lead,
-    }, context="intro.lead")
-
-
-def _render_quant(pack: TemplatePack, message: CategoricalQuant) -> str:
-    return " ".join(_quant_block(pack, message.distribution))
+    return pack.render("intro.lead", total=str(message.total),
+                       lead_sentences=_render_quant(pack, message))
 
 
 def _render_range(pack: TemplatePack, message: ContinuousRange) -> str:
     summary = message.summary
-    slots = _continuous_slots(pack, summary)
-    return _fill(pack.template(f"range.{summary.attribute}", "range"),
-                 slots, context="range")
+    return pack.render(f"range.{summary.attribute}", "range", **_continuous_slots(pack, summary))
 
 
 def _render_year_selfcite(pack: TemplatePack, message: CombinedYearSelfCite) -> str:
     summary, share = message.summary, message.share
-    slots = {"noun": pack.noun, "Noun": _capitalized(pack.noun)}
-    if share is not None:
-        slots["share"] = format_percentage(share)
+    slots = {} if share is None else {"share": format_percentage(share)}
     if summary is None:
-        return _fill(pack.template("yearspan.share_only"), slots,
-                     context="yearspan.share_only")
+        return pack.render("yearspan.share_only", **slots)
     slots.update(_continuous_slots(pack, summary))
+    key = "yearspan"
     if summary.minimum == summary.maximum:
-        slots["year"] = str(int(summary.minimum))
-        key = "yearspan.single.full" if share is not None else "yearspan.single.year_only"
-    else:
-        key = "yearspan.full" if share is not None else "yearspan.year_only"
-    return _fill(pack.template(key), slots, context=key)
+        slots["year"] = slots["min"]
+        key = "yearspan.single"
+    return pack.render(f"{key}.full" if share is not None else f"{key}.year_only", **slots)
 
 
 def _render_group_tops(pack: TemplatePack, message: GroupTopList) -> str:
     top = message.group_top
     sentences = []
     for i, entry in enumerate(top.entries):
-        sentences.append(quantifier_sentence(
-            entry.bucket,
-            pack.lexeme(top.group_attribute, entry.group_value),
-            format_percentage(entry.share),
-            "first" if i == 0 else "subsequent",
-            pack=pack, attribute=top.group_attribute,
-        ))
-        slots = {"title": entry.top_title, "noun": pack.noun,
-                 "Noun": _capitalized(pack.noun)}
+        sentences.append(_quant_item(pack, top.group_attribute, i, entry.bucket,
+                                     entry.group_value, entry.share))
+        slots = {"title": entry.top_title}
         if entry.top_count is None:
             key = "grouptop.plain"
         elif not pack.show_counts:
             key = "grouptop.named"
-        elif entry.top_count == 1:
-            key = "grouptop.counted.one"
-            slots["count"] = "1"
         else:
-            key = "grouptop.counted"
+            key = "grouptop.counted.one" if entry.top_count == 1 else "grouptop.counted"
             slots["count"] = str(entry.top_count)
-        sentences.append(_fill(pack.template(key), slots, context=key))
+        sentences.append(pack.render(key, **slots))
     return " ".join(sentences)
 
 
 def _author_item(pack: TemplatePack, author: AuthorScore) -> str:
-    slots = {"name": author.author.display()}
-    if pack.show_counts and author.counted_papers > 0:
-        if author.score == 1:
-            return _fill(pack.template("authors.item.counted.one"), slots,
-                         context="authors.item.counted.one")
-        slots["score"] = str(author.score)
-        return _fill(pack.template("authors.item.counted"), slots,
-                     context="authors.item.counted")
-    return _fill(pack.template("authors.item.plain"), slots,
-                 context="authors.item.plain")
+    name = author.author.display()
+    if not (pack.show_counts and author.counted_papers > 0):
+        return pack.render("authors.item.plain", name=name)
+    if author.score == 1:
+        return pack.render("authors.item.counted.one", name=name)
+    return pack.render("authors.item.counted", name=name, score=str(author.score))
 
 
 def _render_authors(pack: TemplatePack, message: AuthorList) -> str:
@@ -203,38 +153,28 @@ def _render_authors(pack: TemplatePack, message: AuthorList) -> str:
     listing = aggregate_list([_author_item(pack, a) for a in authors])
     variant = "counted" if message.has_counts else "uncounted"
     key = f"authors.{variant}.single" if len(authors) == 1 else f"authors.{variant}"
-    return _fill(pack.template(key), {
-        "k": str(len(authors)), "authors": listing,
-        "noun": pack.noun, "Noun": _capitalized(pack.noun),
-    }, context=key)
+    return pack.render(key, k=str(len(authors)), authors=listing)
 
 
 def _render_shape(pack: TemplatePack, message: DominatingShape) -> str:
     summary = message.summary
-    slots = _continuous_slots(pack, summary)
-    slots["total"] = str(message.total)
+    slots = {"total": str(message.total), **_continuous_slots(pack, summary)}
     if summary.minimum == summary.maximum:
-        slots["value"] = format_number(summary.minimum)
-        return _fill(pack.template("shape.single"), slots, context="shape.single")
-    return _fill(pack.template("shape"), slots, context="shape")
+        return pack.render("shape.single", value=slots["min"], **slots)
+    return pack.render("shape", **slots)
 
 
 def _render_feature(pack: TemplatePack, message: FeatureWithComparison) -> str:
-    sentences = [" ".join(_quant_block(pack, message.distribution))]
+    sentences = [_render_quant(pack, message)]
     comparison = message.comparison
     if comparison is not None:
-        subject = _fill(
-            pack.template(f"subject.{comparison.attribute}", "subject.default"),
-            {"noun": pack.noun, "Noun": _capitalized(pack.noun),
-             "value": pack.lexeme(comparison.attribute, comparison.feature_value)},
-            context="subject")
-        key = f"compare.{comparison.direction}.{comparison.magnitude}"
-        sentences.append(_fill(pack.template(key), {
-            "subject": subject,
-            "unit": pack.unit,
-            "sub": format_number(comparison.subset_median),
-            "sup": format_number(comparison.superset_median),
-        }, context=key))
+        subject = pack.render(
+            f"subject.{comparison.attribute}", "subject.default",
+            value=pack.lexeme(comparison.attribute, comparison.feature_value))
+        sentences.append(pack.render(
+            f"compare.{comparison.direction}.{comparison.magnitude}", subject=subject,
+            sub=format_number(comparison.subset_median),
+            sup=format_number(comparison.superset_median)))
     return " ".join(sentences)
 
 

@@ -272,6 +272,18 @@ def _name_from_json(value) -> PersonName | None:
     return None
 
 
+def _typed(obj: dict, key: str, kind: type, default, rid: str, warnings: list[str]):
+    """``obj[key]`` if it is a ``kind``; else warn and use ``default``.
+
+    A missing key, or null where the default is None, is absent and silent.
+    """
+    value = obj.get(key, default)
+    if key not in obj or isinstance(value, kind) or (value is None and default is None):
+        return value
+    warnings.append(f"{rid}: {key} {value!r} is not a {kind.__name__}, dropped")
+    return default
+
+
 def load_record_lines(text: str, warnings: list[str] | None = None) -> list[ReferenceRecord]:
     """Read one reference object per line, fields named as in ReferenceRecord."""
     if warnings is None:
@@ -287,8 +299,8 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
         if not isinstance(obj, dict):
             raise RecordFileError(f"line {lineno}: expected an object")
         rid = str(obj.get("id") or f"r{lineno}")
-        authors = tuple(n for n in (_name_from_json(a) for a in obj.get("authors", []))
-                        if n is not None)
+        names = _typed(obj, "authors", list, (), rid, warnings)
+        authors = tuple(n for n in map(_name_from_json, names) if n is not None)
         year = obj.get("year")
         if year is not None:
             if not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:
@@ -302,19 +314,16 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
         if count is not None and (not isinstance(count, int) or count < 0):
             warnings.append(f"{rid}: invalid citation count {count!r}, dropped")
             count = None
-        self_citation = obj.get("self_citation")
-        if self_citation is not None:
-            self_citation = bool(self_citation)
         records.append(ReferenceRecord(
             id=rid,
-            title=str(obj.get("title", "")),
+            title=_typed(obj, "title", str, "", rid, warnings),
             authors=authors,
             year=year,
-            venue_name=str(obj.get("venue_name", "")),
+            venue_name=_typed(obj, "venue_name", str, "", rid, warnings),
             venue_type=venue_type,
-            domain=obj.get("domain"),
-            subdomain=obj.get("subdomain"),
+            domain=_typed(obj, "domain", str, None, rid, warnings),
+            subdomain=_typed(obj, "subdomain", str, None, rid, warnings),
             citation_count=count,
-            self_citation=self_citation,
+            self_citation=_typed(obj, "self_citation", bool, None, rid, warnings),
         ))
     return records

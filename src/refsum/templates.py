@@ -13,10 +13,13 @@ display falls back from the per-attribute lexicon to the shared
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import TemplateError
+from .errors import RealizationError, TemplateError
+
+_SLOT_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,20 @@ class TemplatePack:
             if key in self.templates:
                 return self.templates[key]
         raise TemplateError(f"no template for any of: {', '.join(candidates)}")
+
+    def render(self, *keys: str, **slots: str) -> str:
+        """Fill the first of ``keys`` the pack defines from ``slots`` and the
+        pack's ``noun``, ``Noun`` and ``unit``; errors name the last key."""
+        template = self.template(*keys)
+        slots = {"noun": self.noun, "Noun": self.noun[:1].upper() + self.noun[1:],
+                 "unit": self.unit, **slots}
+
+        def sub(match: re.Match) -> str:
+            name = match.group(1)
+            if name not in slots:
+                raise RealizationError(f"{keys[-1]}: unresolved placeholder '{name}'")
+            return slots[name]
+        return _SLOT_RE.sub(sub, template)
 
     def lexeme(self, attribute: str, token: str) -> str:
         by_attr = self.lexicon.get(attribute, {})

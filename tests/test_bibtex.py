@@ -148,6 +148,16 @@ def test_unbalanced_macro_costs_only_the_macro():
     assert [i.message for i in issues] == ["unbalanced braces in @string 'j'"]
 
 
+def test_unbalanced_comment_costs_only_the_comment():
+    text = ("@comment{ open {\n"
+            "@article{a, title={A}, year=2020}\n"
+            "@article{b, title={B}, year=2021}\n")
+    entries, issues = scan_bibtex(text)
+    assert [e.cite_key for e in entries] == ["a", "b"]
+    assert [(i.severity, i.message, i.offset) for i in issues] == [
+        ("error", "unbalanced braces in @comment block", 0)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(bib_like_text)
 def test_offsets_are_utf8_byte_offsets(text):

@@ -42,6 +42,15 @@ def test_offline_matches_golden(capsys, data_dir):
     assert out == (data_dir / "golden" / "refset_offline.txt").read_text()
 
 
+def test_compare_matches_golden(capsys, data_dir):
+    code, out, _ = _run(capsys, "compare", str(data_dir / "fixture20.bib"),
+                        "--taxonomy", str(data_dir / "fixture.tax"),
+                        "--provider", "mock", "--counts", str(data_dir / "fixture20_counts.json"),
+                        "--paper-authors", "Alice Novak and Robert Chen")
+    assert code == 0
+    assert out == (data_dir / "golden" / "compare_full.txt").read_text()
+
+
 def test_emit_profile_has_no_prose(capsys, data_dir):
     code, out, _ = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
                         *FIXTURE_ARGS, "--emit", "profile")

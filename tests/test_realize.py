@@ -239,6 +239,29 @@ def test_unresolved_placeholder_is_an_error_naming_the_slot():
         realize(plan, pack)
 
 
+def test_every_template_may_use_the_shared_noun_and_unit_slots():
+    pack = load_template_pack(
+        "[settings]\nnoun = widgets\nunit = $\n"
+        "[authors.uncounted.single]\nTop: {authors}.\n"
+        "[authors.item.plain]\n{name} ({noun})\n"
+        "[quant.most.first]\nMostly {value}.\n"
+        "[subject.default]\nthose from {value}\n"
+        "[compare.same.same]\n{Noun} like {subject} cost {unit}{sub}.\n")
+    authors = AuthorList(authors=(_author("Ann", "Ash", 0, 2, 0),), has_counts=False)
+    feature = FeatureWithComparison(
+        distribution=CategoricalDistribution("venue_type", (
+            DistributionEntry("journal", 2, 1.0, Quantifier.MOST),), 2),
+        comparison=ComparisonResult("venue_type", "journal", 5, 5, "same", "same"))
+    plan = DocumentPlan("prodset", (Paragraph("a", (authors,)), Paragraph("f", (feature,))))
+    assert realize(plan, pack).paragraphs == (
+        "Top: Ann Ash (widgets).", "Mostly journal. Widgets like those from journal cost $5.")
+
+    broken = load_template_pack(PRICE_PACK_TEXT.replace("{Noun} with {value}", "{nonsense}"))
+    with pytest.raises(RealizationError,
+                       match="subject.default: unresolved placeholder 'nonsense'"):
+        realize(DocumentPlan("prodset", (Paragraph("f", (feature,)),)), broken)
+
+
 def test_pack_loader_rejects_malformed_input():
     with pytest.raises(TemplateError):
         load_template_pack("stray line before any section")

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from refsum import (ConfigError, PersonName, RawEntry, ReferenceRecord,
-                    de_latex, detect_self_citation, load_taxonomy,
+                    de_latex, detect_self_citation, load_record_lines, load_taxonomy,
                     parse_person_names, to_reference_record)
 
 
@@ -164,3 +165,32 @@ def test_self_citation_permutation_invariant():
         shuffled_ref = ReferenceRecord(
             id="r", authors=tuple(rng.sample(reference.authors, len(reference.authors))))
         assert detect_self_citation(shuffled_ref, shuffled_citing) == expected
+
+
+# -- record files ------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,value,absent,kind", [
+    ("authors", "Jane Doe and John Roe", (), "list"),
+    ("title", None, "", "str"),
+    ("venue_name", 7, "", "str"),
+    ("domain", ["a", "b"], None, "str"),
+    ("subdomain", {"x": 1}, None, "str"),
+    ("self_citation", "no", None, "bool"),
+])
+def test_record_field_of_the_wrong_type_is_dropped_with_a_warning(field, value, absent, kind):
+    warnings: list[str] = []
+    [record] = load_record_lines(json.dumps({"id": "r1", field: value}), warnings)
+    assert getattr(record, field) == absent
+    assert warnings == [f"r1: {field} {value!r} is not a {kind}, dropped"]
+
+
+def test_record_fields_of_the_right_type_load_without_warnings():
+    warnings: list[str] = []
+    line = json.dumps({"id": "r1", "title": "T", "authors": ["Jane Doe", {"family": "Roe"}],
+                       "venue_name": "V", "domain": None, "subdomain": "s",
+                       "self_citation": False})
+    [record] = load_record_lines(line, warnings)
+    assert warnings == []
+    assert (record.title, record.venue_name, record.domain, record.subdomain,
+            record.self_citation) == ("T", "V", None, "s", False)
+    assert [a.family for a in record.authors] == ["Doe", "Roe"]
