@@ -174,6 +174,8 @@ class _Scanner:
                 depth += 1
             elif ch == "}":
                 depth -= 1
+                if depth < 0:   # braces must balance inside quotes too
+                    raise _Unbalanced(open_pos)
             elif ch == '"' and depth == 0:
                 value = self.text[start:self.pos]
                 self.pos += 1

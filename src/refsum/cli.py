@@ -248,14 +248,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     run = _merge_run_config(args)
     warnings: list[str] = []
     citing = _assemble(run, warnings)
-    sections = []
+    sections, failures = [], []
     for algo in ALGORITHMS:
         run.algo = algo
         run.emit = "summary"
-        sections.append(f"[{algo}]\n{_emit(citing, run, warnings)}")
+        try:
+            sections.append(f"[{algo}]\n{_emit(citing, run, warnings)}")
+        except (PlanningError, RealizationError) as exc:
+            failures.append(f"refsum: {algo}: {exc}")
     _flush_warnings(warnings)
-    print("\n\n".join(sections))
-    return 0
+    if sections:
+        print("\n\n".join(sections))
+    _flush_warnings(failures)
+    return 3 if failures else 0
 
 
 def _cmd_enrich(args: argparse.Namespace) -> int:

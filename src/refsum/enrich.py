@@ -13,13 +13,10 @@ diff-friendly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Protocol
 
@@ -38,11 +35,21 @@ def _norm(text: str) -> str:
 
 def lookup_key(title: str, family: str, year: int | None) -> str:
     """Stable cache key for one lookup triple."""
+    import hashlib  # only a run with a cache pays for loading OpenSSL
+
     blob = "|".join((_norm(title), _norm(family), str(year) if year else ""))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class CitationProvider(Protocol):
+    """Resolves one lookup triple to a citation count.
+
+    A provider whose ``resolve`` waits on I/O sets the class attribute
+    ``blocking = True``, and enrichment spreads its lookups over a thread
+    pool. A provider that declares nothing is treated as non-blocking: its
+    lookups run inline, one after the other, on the calling thread.
+    """
+
     def resolve(self, title: str, family: str, year: int | None) -> int | None:
         """Return a non-negative count, or None when the work is unknown."""
         ...
@@ -51,12 +58,16 @@ class CitationProvider(Protocol):
 class NullProvider:
     """Offline mode: every lookup is a miss."""
 
+    blocking = False
+
     def resolve(self, title: str, family: str, year: int | None) -> int | None:
         return None
 
 
 class StaticCountProvider:
     """Counts from an in-memory or JSON-file mapping of title -> count."""
+
+    blocking = False
 
     def __init__(self, counts: dict[str, int]) -> None:
         self._counts = {_norm(title): count for title, count in counts.items()}
@@ -72,6 +83,8 @@ class StaticCountProvider:
 
 class ScholarLookupProvider:
     """HTTP client for a Semantic-Scholar-compatible paper search endpoint."""
+
+    blocking = True
 
     def __init__(self, base_url: str = "https://api.semanticscholar.org/graph/v1",
                  timeout: float = 10.0, session=None) -> None:
@@ -117,7 +130,6 @@ class CountCache:
 
     def __init__(self, directory: str | Path) -> None:
         self._path = Path(directory) / CACHE_FILENAME
-        self._lock = threading.Lock()
         self._counts: dict[str, int] = {}
         if self._path.exists():
             for line in self._path.read_text(encoding="utf-8").splitlines():
@@ -129,20 +141,33 @@ class CountCache:
                         continue  # tolerate a corrupt line
 
     def get(self, key: str) -> int | None:
-        with self._lock:
-            return self._counts.get(key)
+        return self._counts.get(key)
 
     def put(self, key: str, count: int) -> None:
-        stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        with self._lock:
-            self._counts[key] = count
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            with self._path.open("a", encoding="utf-8") as fh:
-                fh.write(f"{key}\t{count}\t{stamp}\n")
+        """Record one count and append its line to the file at once."""
+        self.update({key: count})
+
+    def update(self, counts: dict[str, int]) -> None:
+        """Record counts and append their lines to the file in one write.
+
+        The handle is unbuffered and opened for append, so the lines reach
+        the file in one system call and a concurrent appender cannot split
+        one of them. Only a short write (a full disk) takes a second call,
+        which then raises.
+        """
+        if not counts:
+            return
+        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        self._counts.update(counts)
+        data = "".join(f"{key}\t{count}\t{stamp}\n" for key, count in counts.items())
+        self._path.parent.mkdir(parents=True, exist_ok=True)
+        with self._path.open("ab", buffering=0) as fh:
+            view = memoryview(data.encode("utf-8"))
+            while view:
+                view = view[fh.write(view):]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._counts)
+        return len(self._counts)
 
 
 @dataclass
@@ -176,11 +201,14 @@ def enrich_citation_counts(
 
     Records that already carry a count are left untouched. Output order is
     the input order regardless of lookup completion order, and the whole
-    pass is idempotent once the cache is warm.
+    pass is idempotent once the cache is warm. Only a blocking provider's
+    lookups run on a pool of up to ``max_workers`` threads. The pass's new
+    counts go to the cache in one append before it returns, also when a
+    lookup raises.
     """
     report = EnrichmentReport()
-    results: dict[int, int | None] = {}
-    pending: list[tuple[int, str, str]] = []   # (index, first-author family, key)
+    results: dict[int, int] = {}
+    pending: list[tuple[int, str, str | None]] = []   # (index, first-author family, key)
 
     for i, record in enumerate(records):
         if record.citation_count is not None:
@@ -188,37 +216,53 @@ def enrich_citation_counts(
             continue
         report.looked_up += 1
         family = record.authors[0].family if record.authors else ""
-        key = lookup_key(record.title, family, record.year)
-        cached = cache.get(key) if cache is not None else None
-        if cached is not None:
-            report.cache_hits += 1
-            results[i] = cached
-        else:
-            pending.append((i, family, key))
+        key = None
+        if cache is not None:
+            key = lookup_key(record.title, family, record.year)
+            cached = cache.get(key)
+            if cached is not None:
+                report.cache_hits += 1
+                results[i] = cached
+                continue
+        pending.append((i, family, key))
 
-    def fetch(job: tuple[int, str, str]) -> tuple[int | None, str | None]:
+    if provider is None:
+        report.not_found += len(pending)
+        pending = []
+
+    def fetch(job: tuple[int, str, str | None]) -> tuple[int | None, str | None]:
         i, family, _ = job
         try:
             return provider.resolve(records[i].title, family, records[i].year), None
         except ProviderError as exc:
             return None, str(exc)
 
-    if provider is not None and pending:
-        workers = max(1, min(max_workers, len(pending)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for (i, _, key), (count, error) in zip(pending, pool.map(fetch, pending)):
-                record = records[i]
-                if error is not None:
-                    report.failures.append((record.id, error))
-                elif count is None:
-                    report.not_found += 1
-                else:
-                    report.provider_hits += 1
-                    results[i] = count
-                    if cache is not None:
-                        cache.put(key, count)
-    else:
-        report.not_found += len(pending)
+    fetched: dict[str, int] = {}   # this pass's new cache lines
+
+    def tally(outcomes) -> None:
+        for (i, _, key), (count, error) in zip(pending, outcomes):
+            if error is not None:
+                report.failures.append((records[i].id, error))
+            elif count is None:
+                report.not_found += 1
+            else:
+                report.provider_hits += 1
+                results[i] = count
+                if key is not None:
+                    fetched[key] = count
+
+    try:
+        if getattr(provider, "blocking", False) and max_workers > 1 and len(pending) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=min(max_workers, len(pending))) as pool:
+                tally(pool.map(fetch, pending))
+        else:
+            tally(map(fetch, pending))
+    finally:
+        # Also on an interrupt: the counts fetched so far reach the cache.
+        if fetched:
+            cache.update(fetched)
 
     enriched = []
     for i, record in enumerate(records):

@@ -263,12 +263,15 @@ def derive_self_citations(records: list[ReferenceRecord],
 
 # -- line-delimited record files ----------------------------------------------
 
-def _name_from_json(value) -> PersonName | None:
+def _name_from_json(value, rid: str, warnings: list[str]) -> PersonName | None:
+    """One author item: a name string or an object with ``family``; else warn."""
     if isinstance(value, str):
         names = parse_person_names(value)
-        return names[0] if names else None
-    if isinstance(value, dict) and value.get("family"):
+        if names:
+            return names[0]
+    elif isinstance(value, dict) and value.get("family"):
         return PersonName(family=str(value["family"]), given=str(value.get("given", "")))
+    warnings.append(f"{rid}: author {value!r} is not a name, dropped")
     return None
 
 
@@ -300,7 +303,8 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
             raise RecordFileError(f"line {lineno}: expected an object")
         rid = str(obj.get("id") or f"r{lineno}")
         names = _typed(obj, "authors", list, (), rid, warnings)
-        authors = tuple(n for n in map(_name_from_json, names) if n is not None)
+        authors = tuple(n for n in (_name_from_json(item, rid, warnings) for item in names)
+                        if n is not None)
         year = obj.get("year")
         if year is not None:
             if not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:

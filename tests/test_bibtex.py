@@ -158,6 +158,20 @@ def test_unbalanced_comment_costs_only_the_comment():
         ("error", "unbalanced braces in @comment block", 0)]
 
 
+@pytest.mark.parametrize("c_title, keys, broken", [
+    ('"{"', ["b"], ["a", "c"]),       # c's own quoted value is unbalanced too
+    ('"{x}"', ["b", "c"], ["a"]),
+])
+def test_stray_close_brace_in_quoted_value_costs_only_its_entry(c_title, keys, broken):
+    text = ('@article{a, title="x}"}\n'
+            "@article{b, title={B}}\n"
+            f"@article{{c, title={c_title}}}\n")
+    entries, issues = scan_bibtex(text)
+    assert [e.cite_key for e in entries] == keys
+    assert [(i.severity, i.cite_key, i.message) for i in issues] == [
+        ("error", key, f"unbalanced braces in entry '{key}'") for key in broken]
+
+
 @settings(max_examples=300, deadline=None)
 @given(bib_like_text)
 def test_offsets_are_utf8_byte_offsets(text):

@@ -143,6 +143,17 @@ def test_compare_produces_both_labelled_summaries(capsys, data_dir):
     assert out.count("43 references") >= 2
 
 
+def test_compare_prints_the_sections_that_render(capsys, data_dir):
+    bib = str(data_dir / "fixture20.bib")
+    code, refset, _ = _run(capsys, "summarize", bib)
+    assert code == 0
+    # without citation counts the prodset plan has no dominating shape
+    code, out, err = _run(capsys, "compare", bib)
+    assert code == 3
+    assert out == f"[refset]\n{refset}"
+    assert err.endswith("refsum: prodset: missing profile fragment: dominating shape\n")
+
+
 def test_jsonl_input(capsys, tmp_path):
     rows = [
         {"id": "a", "title": "A", "venue_type": "journal", "year": 2001,

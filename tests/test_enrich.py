@@ -4,6 +4,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,93 @@ def test_concurrent_cache_writes_stay_intact(tmp_path):
             record.citation_count
     for line in (tmp_path / "citations.tsv").read_text().splitlines():
         assert len(line.split("\t")) == 3
+
+
+
+def test_blocking_provider_lookups_run_concurrently_in_input_order():
+    class Blocking:
+        blocking = True
+
+        def __init__(self):
+            self.barrier = threading.Barrier(2, timeout=5)
+
+        def resolve(self, title, family, year):
+            # each call waits for a second one: inline lookups would time out
+            self.barrier.wait()
+            time.sleep(0.01 * (4 - int(title)))
+            return int(title)
+
+    base = [_record(str(i), str(i)) for i in range(4)]
+    records, report = enrich_citation_counts(base, Blocking(), max_workers=2)
+    assert [r.citation_count for r in records] == [0, 1, 2, 3]
+    assert [r.id for r in records] == [r.id for r in base]
+    assert report.provider_hits == 4
+
+
+def test_in_memory_provider_starts_no_thread(tmp_path, monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a non-blocking provider must run inline")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    provider = StaticCountProvider({"A": 1, "B": 2, "C": 3})
+    base = [_record("a", "A"), _record("b", "B"), _record("c", "C")]
+    records, report = enrich_citation_counts(base, provider, CountCache(tmp_path),
+                                             max_workers=4)
+    assert [r.citation_count for r in records] == [1, 2, 3]
+    assert report.provider_hits == 3
+
+
+def test_no_cache_computes_no_lookup_key(monkeypatch):
+    def no_key(*args):
+        raise AssertionError("lookup_key is only needed with a cache")
+
+    monkeypatch.setattr("refsum.enrich.lookup_key", no_key)
+    records, _ = enrich_citation_counts([_record("a", "A")],
+                                        StaticCountProvider({"A": 4}))
+    assert records[0].citation_count == 4
+
+
+def test_one_cache_append_per_pass(tmp_path, monkeypatch):
+    cache = CountCache(tmp_path)
+    appends = []
+    real_open = Path.open
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        if "a" in mode:
+            appends.append(self.name)
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    provider = StaticCountProvider({str(i): i for i in range(10)})
+    base = [_record(str(i), str(i)) for i in range(12)]
+    _, report = enrich_citation_counts(base, provider, cache)
+    assert report.provider_hits == 10 and report.not_found == 2
+    assert appends == ["citations.tsv"]
+    lines = (tmp_path / "citations.tsv").read_text().splitlines()
+    assert len(lines) == 10
+    assert all(len(line.split("\t")) == 3 for line in lines)
+    _, report = enrich_citation_counts(base, provider, cache)
+    assert report.cache_hits == 10
+    assert appends == ["citations.tsv"]   # a pass with nothing new writes nothing
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_interrupted_pass_keeps_the_counts_it_fetched(tmp_path, blocks):
+    class Interrupted:
+        blocking = blocks   # with the pool, the worker's interrupt re-raises in the caller
+
+        def resolve(self, title, family, year):
+            if title == "3":
+                raise KeyboardInterrupt
+            return int(title)
+
+    base = [_record(str(i), str(i)) for i in range(6)]
+    with pytest.raises(KeyboardInterrupt):
+        enrich_citation_counts(base, Interrupted(), CountCache(tmp_path), max_workers=2)
+    reloaded = CountCache(tmp_path)
+    assert len(reloaded) == 3
+    for i in range(3):
+        assert reloaded.get(lookup_key(str(i), "Smith", 2014)) == i
 
 
 class _FakeScholarHandler(BaseHTTPRequestHandler):

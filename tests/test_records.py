@@ -194,3 +194,13 @@ def test_record_fields_of_the_right_type_load_without_warnings():
     assert (record.title, record.venue_name, record.domain, record.subdomain,
             record.self_citation) == ("T", "V", None, "s", False)
     assert [a.family for a in record.authors] == ["Doe", "Roe"]
+
+
+def test_author_items_that_are_not_names_are_dropped_with_a_warning():
+    warnings: list[str] = []
+    line = json.dumps({"id": "r1", "authors": [42, "Jane Doe", {"given": "X"}, ""]})
+    [record] = load_record_lines(line, warnings)
+    assert [a.family for a in record.authors] == ["Doe"]
+    assert warnings == ["r1: author 42 is not a name, dropped",
+                        "r1: author {'given': 'X'} is not a name, dropped",
+                        "r1: author '' is not a name, dropped"]
