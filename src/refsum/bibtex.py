@@ -21,9 +21,11 @@ from itertools import accumulate
 from .errors import BibParseError
 
 _KIND = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
-_CITE_KEY = re.compile(r"[^\s,{}()]+")
-_FIELD_NAME = re.compile(r"[^\s=,{}()\"#]+")
-_MACRO_NAME = re.compile(r"[^\s,#{}()\"]+")
+# No name starts with '@', which always opens a block: a block cut off at the
+# end of its line cannot read the next line's '@article' as a key or a field.
+_CITE_KEY = re.compile(r"[^\s,{}()@][^\s,{}()]*")
+_FIELD_NAME = re.compile(r"[^\s=,{}()\"#@][^\s=,{}()\"#]*")
+_MACRO_NAME = re.compile(r"[^\s,#{}()\"@][^\s,#{}()\"]*")
 _NUMBER = re.compile(r"[0-9]+")
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
@@ -119,16 +121,16 @@ class _Scanner:
     def _recover(self, close_ch: str) -> None:
         """Skip past the rest of a broken entry.
 
-        Balances braces from the already-open entry delimiter; bails out at a
-        line that starts a new ``@`` block so later entries survive even when
-        the broken one never closes.
+        Balances braces from the already-open entry delimiter; bails out at any
+        line that starts a new ``@`` block, so later entries survive even when
+        the broken one never closes or closes too early.
         """
         depth = 1
         # _skip_ws may already have moved onto the next line's ``@``.
         at_line_start = self._at_line_start(self.pos)
         while self.pos < len(self.text):
             ch = self.text[self.pos]
-            if at_line_start and ch == "@" and depth >= 1:
+            if at_line_start and ch == "@":
                 return
             if ch == "{":
                 depth += 1

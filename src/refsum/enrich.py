@@ -136,9 +136,11 @@ class CountCache:
                 parts = line.split("\t")
                 if len(parts) >= 2:
                     try:
-                        self._counts[parts[0]] = int(parts[1])
+                        count = int(parts[1])
                     except ValueError:
                         continue  # tolerate a corrupt line
+                    if count >= 0:  # a negative count is corrupt too
+                        self._counts[parts[0]] = count
 
     def get(self, key: str) -> int | None:
         return self._counts.get(key)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 # Lowercase tokens folded into the family name in "Given ... Family" form,
 # so "Ludwig van Beethoven" keeps "van Beethoven" as the family.
@@ -27,7 +28,7 @@ class PersonName:
     family: str
     given: str = ""
 
-    @property
+    @cached_property
     def normalized_key(self) -> str:
         """Lowercased family plus first given initial, e.g. ``smith.j``."""
         family = _WS.sub(" ", self.family.strip().lower())

@@ -4,12 +4,15 @@ Every operation here is a pure function over immutable records and is
 deterministic: ties are always broken by a total order (value name, year,
 title, id, author key), never by input position. Records may be
 ReferenceRecord instances or plain mappings, so the same machinery profiles
-bibliographies and any other attribute-tagged set with a numeric column.
+bibliographies and any other attribute-tagged set with a numeric column. One
+set may mix the two: each statistic reads whole attribute columns, and access
+is decided once per record type, not once per value.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -124,14 +127,18 @@ class SetProfile:
 
 # -- record access ------------------------------------------------------------
 
-def field_value(record: Any, attribute: str) -> Any:
-    if isinstance(record, Mapping):
-        return record.get(attribute)
-    return getattr(record, attribute, None)
+def _column(records: Sequence[Any], attribute: str) -> list[Any]:
+    """The attribute's value on every record, None where it is absent.
+
+    Mapping or attribute access is decided once per record type, so one set
+    may mix mappings and objects.
+    """
+    is_mapping = {kind: issubclass(kind, Mapping) for kind in set(map(type, records))}
+    return [record.get(attribute) if is_mapping[type(record)]
+            else getattr(record, attribute, None) for record in records]
 
 
-def categorical_value(record: Any, attribute: str) -> str:
-    value = field_value(record, attribute)
+def _category(value: Any) -> str:
     if value is None:
         return UNKNOWN
     if isinstance(value, bool):
@@ -139,15 +146,10 @@ def categorical_value(record: Any, attribute: str) -> str:
     return str(value)
 
 
-def numeric_value(record: Any, attribute: str) -> float | int | None:
-    value = field_value(record, attribute)
+def _number(value: Any) -> float | int | None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     return value
-
-
-def _present_values(records: Sequence[Any], attribute: str) -> list[float]:
-    return [v for v in (numeric_value(r, attribute) for r in records) if v is not None]
 
 
 def _median(values: Sequence[float]) -> float:
@@ -156,16 +158,6 @@ def _median(values: Sequence[float]) -> float:
     if n % 2:
         return ordered[n // 2]
     return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
-
-
-def _record_id(record: Any) -> str:
-    value = field_value(record, "id")
-    return str(value) if value is not None else ""
-
-
-def _record_title(record: Any) -> str:
-    value = field_value(record, "title")
-    return str(value) if value is not None else ""
 
 
 # -- operations ---------------------------------------------------------------
@@ -193,10 +185,7 @@ def categorical_distribution(records: Sequence[Any], attribute: str,
     """
     if not records:
         raise EmptySetError("empty set")
-    counts: dict[str, int] = {}
-    for record in records:
-        value = categorical_value(record, attribute)
-        counts[value] = counts.get(value, 0) + 1
+    counts = Counter(map(_category, _column(records, attribute)))
     total = len(records)
     entries = tuple(
         DistributionEntry(value=value, count=count, proportion=count / total,
@@ -210,24 +199,12 @@ def continuous_summary(records: Sequence[Any], attribute: str) -> ContinuousSumm
     """Range and median over the records where the attribute is present."""
     if not records:
         raise EmptySetError("empty set")
-    values = _present_values(records, attribute)
+    values = [v for v in map(_number, _column(records, attribute)) if v is not None]
     if not values:
         raise StatsError(f"attribute fully absent: {attribute}")
     return ContinuousSummary(attribute=attribute, minimum=min(values),
                              maximum=max(values), median=_median(values),
                              count=len(values))
-
-
-def _top_rank_key(record: Any) -> tuple:
-    count = numeric_value(record, "citation_count")
-    year = numeric_value(record, "year")
-    return (
-        0 if count is not None else 1,       # absent counts rank below all present
-        -(count if count is not None else 0),
-        year if year is not None else math.inf,  # then the earlier year
-        _record_title(record),
-        _record_id(record),
-    )
 
 
 def top_reference_per_group(records: Sequence[Any], group_attribute: str,
@@ -240,26 +217,35 @@ def top_reference_per_group(records: Sequence[Any], group_attribute: str,
     """
     if not records:
         raise EmptySetError("empty set")
-    groups: dict[str, list[Any]] = {}
-    for record in records:
-        value = field_value(record, group_attribute)
-        if value is None:
-            continue
-        groups.setdefault(str(value), []).append(record)
+    groups: dict[str, list[int]] = {}
+    for i, value in enumerate(_column(records, group_attribute)):
+        if value is not None:
+            groups.setdefault(str(value), []).append(i)
+    counts = [_number(v) for v in _column(records, "citation_count")]
+    years = [_number(v) for v in _column(records, "year")]
+    titles = ["" if v is None else str(v) for v in _column(records, "title")]
+    ids = ["" if v is None else str(v) for v in _column(records, "id")]
+
+    def rank(i: int) -> tuple:
+        count, year = counts[i], years[i]
+        return (count is None,                 # absent counts rank below all present
+                -(count if count is not None else 0),
+                year if year is not None else math.inf,  # then the earlier year
+                titles[i], ids[i])
+
     total = len(records)
     entries = []
     for value, members in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-        top = min(members, key=_top_rank_key)
-        count = numeric_value(top, "citation_count")
-        year = numeric_value(top, "year")
+        top = min(members, key=rank)
+        count, year = counts[top], years[top]
         share = len(members) / total
         entries.append(GroupTopEntry(
             group_value=value,
             share=share,
             bucket=quantifier_for(share, thresholds),
-            top_reference=_record_id(top),
+            top_reference=ids[top],
             top_count=int(count) if count is not None else None,
-            top_title=_record_title(top),
+            top_title=titles[top],
             top_year=int(year) if year is not None else None,
         ))
     return GroupTop(group_attribute=group_attribute, entries=tuple(entries))
@@ -279,13 +265,11 @@ def top_authors(records: Sequence[Any], k: int = SummaryConfig.author_k, *,
     scores: dict[str, int] = {}
     papers: dict[str, int] = {}
     counted: dict[str, int] = {}
-    variants: dict[str, set[PersonName]] = {}
-    for record in records:
-        authors = field_value(record, "authors") or ()
-        count = numeric_value(record, "citation_count")
+    variants: dict[str, list[PersonName]] = {}
+    counts = map(_number, _column(records, "citation_count"))
+    for authors, count in zip(_column(records, "authors"), counts):
         contribution = int(count) if count is not None else 0
-        for author in {a.normalized_key: a for a in authors}.values():
-            key = author.normalized_key
+        for key, author in {a.normalized_key: a for a in authors or ()}.items():
             if score_mode == "max":
                 scores[key] = max(scores.get(key, 0), contribution)
             else:
@@ -293,10 +277,9 @@ def top_authors(records: Sequence[Any], k: int = SummaryConfig.author_k, *,
             papers[key] = papers.get(key, 0) + 1
             if count is not None:
                 counted[key] = counted.get(key, 0) + 1
-            variants.setdefault(key, set()).add(author)
+            variants.setdefault(key, []).append(author)
     def display(key: str) -> PersonName:
-        return sorted(variants[key],
-                      key=lambda p: (-len(p.given), p.family, p.given))[0]
+        return min(variants[key], key=lambda p: (-len(p.given), p.family, p.given))
     ranked = sorted(scores, key=lambda key: (-scores[key], -papers[key], key))
     return tuple(
         AuthorScore(author=display(key), score=scores[key],
@@ -314,7 +297,8 @@ def feature_importance(records: Sequence[Any], dominating_attribute: str,
     categories holding at least ``min_category_size`` records with a present
     dominating value; 0 when the overall range collapses.
     """
-    overall = _present_values(records, dominating_attribute)
+    dominating = [_number(v) for v in _column(records, dominating_attribute)]
+    overall = [v for v in dominating if v is not None]
     if len(overall) < 2:
         raise StatsError(
             f"dominating attribute {dominating_attribute!r} present on fewer than 2 records")
@@ -322,11 +306,9 @@ def feature_importance(records: Sequence[Any], dominating_attribute: str,
     ranking = []
     for attribute in candidate_attributes:
         groups: dict[str, list[float]] = {}
-        for record in records:
-            value = numeric_value(record, dominating_attribute)
-            if value is None:
-                continue
-            groups.setdefault(categorical_value(record, attribute), []).append(value)
+        for value, category in zip(dominating, _column(records, attribute)):
+            if value is not None:
+                groups.setdefault(_category(category), []).append(value)
         medians = [_median(vals) for vals in groups.values()
                    if len(vals) >= min_category_size]
         if denominator > 0 and medians:
@@ -344,8 +326,9 @@ def subset_vs_superset(subset_records: Sequence[Any], superset_records: Sequence
                        *, attribute: str = "", feature_value: str = "",
                        ) -> ComparisonResult:
     """Vague comparison of a subset's dominating median against its superset's."""
-    sub_values = _present_values(subset_records, dominating_attribute)
-    sup_values = _present_values(superset_records, dominating_attribute)
+    sub_values, sup_values = (
+        [v for v in map(_number, _column(records, dominating_attribute)) if v is not None]
+        for records in (subset_records, superset_records))
     if not sub_values or not sup_values:
         raise StatsError(f"no {dominating_attribute!r} values to compare")
     m_sub = _median(sub_values)
@@ -373,7 +356,7 @@ def self_citation_share(records: Sequence[Any]) -> float:
     """Fraction of records flagged as self-citations (absent flags count no)."""
     if not records:
         raise EmptySetError("empty set")
-    flagged = sum(1 for r in records if field_value(r, "self_citation") is True)
+    flagged = sum(1 for v in _column(records, "self_citation") if v is True)
     return flagged / len(records)
 
 
@@ -408,7 +391,7 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
         if spec.name != "self_citation":
             warnings.append(f"profile: flag attribute {spec.name!r} is not supported")
             continue
-        if any(field_value(r, "self_citation") is not None for r in records):
+        if any(v is not None for v in _column(records, "self_citation")):
             share = self_citation_share(records)
         else:
             warnings.append("profile: self-citation flags never derived")
@@ -439,8 +422,8 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
             if attribute not in listed or not dist.entries:
                 continue
             top_value = dist.entries[0].value
-            subset = [r for r in records
-                      if categorical_value(r, attribute) == top_value]
+            subset = [r for r, v in zip(records, _column(records, attribute))
+                      if _category(v) == top_value]
             try:
                 comparisons[attribute] = subset_vs_superset(
                     subset, records, config.dominating, config.comparison_bands,

@@ -263,16 +263,19 @@ def derive_self_citations(records: list[ReferenceRecord],
 
 # -- line-delimited record files ----------------------------------------------
 
-def _name_from_json(value, rid: str, warnings: list[str]) -> PersonName | None:
-    """One author item: a name string or an object with ``family``; else warn."""
+def _names_from_json(value, rid: str, warnings: list[str]) -> list[PersonName]:
+    """One author item: a name string, split on ``and`` with a warning when it
+    holds several, or an object with ``family``; else warn and drop it."""
     if isinstance(value, str):
         names = parse_person_names(value)
+        if len(names) > 1:
+            warnings.append(f"{rid}: author item {value!r} holds {len(names)} names, split")
         if names:
-            return names[0]
+            return names
     elif isinstance(value, dict) and value.get("family"):
-        return PersonName(family=str(value["family"]), given=str(value.get("given", "")))
+        return [PersonName(family=str(value["family"]), given=str(value.get("given", "")))]
     warnings.append(f"{rid}: author {value!r} is not a name, dropped")
-    return None
+    return []
 
 
 def _typed(obj: dict, key: str, kind: type, default, rid: str, warnings: list[str]):
@@ -303,8 +306,7 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
             raise RecordFileError(f"line {lineno}: expected an object")
         rid = str(obj.get("id") or f"r{lineno}")
         names = _typed(obj, "authors", list, (), rid, warnings)
-        authors = tuple(n for n in (_name_from_json(item, rid, warnings) for item in names)
-                        if n is not None)
+        authors = tuple(n for item in names for n in _names_from_json(item, rid, warnings))
         year = obj.get("year")
         if year is not None:
             if not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:

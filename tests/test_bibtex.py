@@ -4,7 +4,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from refsum import BibParseError, parse_bibtex, scan_bibtex, serialize_entries
 
@@ -12,6 +12,8 @@ from refsum import BibParseError, parse_bibtex, scan_bibtex, serialize_entries
 _FRAGMENTS = ["@misc{", "@misc{k,", "@string{", "@comment{", "@", "{", "}", "(", ")", ",",
               "=", "title=", "#", '"', " ", "\n", "k", "2020", "é", "€", "😀"]
 bib_like_text = st.lists(st.sampled_from(_FRAGMENTS), max_size=60).map("".join)
+_BLOCK_OPENERS = ["@string(", "@comment(", "@preamble{", "@preamble(", "@misc(k,"]
+garbage = st.lists(st.sampled_from(_FRAGMENTS + _BLOCK_OPENERS), max_size=60).map("".join)
 
 
 def test_single_entry_field_mapping():
@@ -170,6 +172,40 @@ def test_stray_close_brace_in_quoted_value_costs_only_its_entry(c_title, keys, b
     assert [e.cite_key for e in entries] == keys
     assert [(i.severity, i.cite_key, i.message) for i in issues] == [
         ("error", key, f"unbalanced braces in entry '{key}'") for key in broken]
+
+
+@pytest.mark.parametrize("prefix", [
+    "@a{", "@a(", "@misc{k,\n", "@misc{k, title=\n", "@string{\n", "@string{x=\n",
+    "@a(}",   # closes too early, then the next line starts a block
+])
+def test_block_cut_off_at_its_line_end_keeps_the_next_entry(prefix):
+    text = prefix + "\n@article{zzgood, title={Ok}}\n@book{b2, title={B}}\n"
+    entries, issues = scan_bibtex(text)
+    assert [e.cite_key for e in entries] == ["zzgood", "b2"]
+    assert [i.severity for i in issues] == ["error"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(bib_like_text, st.text(max_size=80)))
+def test_scan_never_raises(text):
+    scan_bibtex(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bib_like_text)
+@example("@misc{k,@k={v}}")   # a name must not be read differently on another line
+def test_serialized_entries_scan_back_unchanged(text):
+    entries, _ = scan_bibtex(text)
+    again, _ = scan_bibtex(serialize_entries(entries))
+    assert again == entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(garbage)
+def test_garbage_then_an_entry_on_its_own_line_yields_the_entry(text):
+    entries, _ = scan_bibtex(text + "\n@article{zzgood, title={Ok}, year=2020}\n")
+    assert [(e.cite_key, e.fields) for e in entries if e.cite_key == "zzgood"] == [
+        ("zzgood", {"title": "Ok", "year": "2020"})]
 
 
 @settings(max_examples=300, deadline=None)

@@ -103,6 +103,12 @@ def test_cache_survives_reload_and_corrupt_lines(tmp_path):
     assert reloaded.get("k2") is None
 
 
+def test_negative_cache_count_is_skipped_as_corrupt(tmp_path):
+    (tmp_path / "citations.tsv").write_text("k1\t3\tx\nk1\t-5\tx\nk2\t-5\tx\n")
+    cache = CountCache(tmp_path)
+    assert (cache.get("k1"), cache.get("k2"), len(cache)) == (3, None, 1)
+
+
 def test_concurrent_cache_writes_stay_intact(tmp_path):
     class Echo:
         def resolve(self, title, family, year):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 from hypothesis import given, settings, strategies as st
 
@@ -8,10 +9,11 @@ from oracles import (brute_distribution, brute_group_tops, brute_importance,
                      brute_median, brute_self_citation_share, brute_top_authors)
 from refsum import (CitingPaper, PersonName, Quantifier, ReferenceRecord,
                     categorical_distribution, continuous_summary,
-                    default_refset_config, feature_importance, quantifier_for,
+                    default_prodset_config, default_refset_config,
+                    feature_importance, quantifier_for,
                     self_citation_share, subset_vs_superset, top_authors,
                     top_reference_per_group)
-from refsum.profile import build_profile
+from refsum.profile import build_profile, profile_to_text
 
 _FAMILIES = ["smith", "lee", "wong", "garcia", "novak", "chen", "sato", "olsen"]
 _GIVENS = ["A", "B", "J", "K", "M", ""]
@@ -125,6 +127,22 @@ def test_profile_deterministic(records):
     config = default_refset_config()
     citing = CitingPaper(references=tuple(records))
     assert build_profile(citing, config) == build_profile(citing, config)
+
+
+@settings(max_examples=50, deadline=None)
+@given(record_sets, st.data())
+def test_profile_reads_mappings_and_records_alike(records, data):
+    # field by field, not asdict, so the authors stay PersonNames
+    flags = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
+    mixed = [{f.name: getattr(r, f.name) for f in fields(r)} if as_dict else r
+             for r, as_dict in zip(records, flags)]
+    for config in (default_refset_config(), default_prodset_config()):
+        typed_warnings: list[str] = []
+        mixed_warnings: list[str] = []
+        typed = build_profile(CitingPaper(references=tuple(records)), config, typed_warnings)
+        either = build_profile(CitingPaper(references=tuple(mixed)), config, mixed_warnings)
+        assert profile_to_text(either) == profile_to_text(typed)
+        assert (either, mixed_warnings) == (typed, typed_warnings)
 
 
 @settings(max_examples=60, deadline=None)

@@ -204,3 +204,11 @@ def test_author_items_that_are_not_names_are_dropped_with_a_warning():
     assert warnings == ["r1: author 42 is not a name, dropped",
                         "r1: author {'given': 'X'} is not a name, dropped",
                         "r1: author '' is not a name, dropped"]
+
+
+def test_author_item_holding_several_names_is_split_with_a_warning():
+    warnings: list[str] = []
+    line = json.dumps({"id": "r1", "authors": ["Jane Doe and John Roe", "Ann Poe"]})
+    [record] = load_record_lines(line, warnings)
+    assert [a.display() for a in record.authors] == ["Jane Doe", "John Roe", "Ann Poe"]
+    assert warnings == ["r1: author item 'Jane Doe and John Roe' holds 2 names, split"]
