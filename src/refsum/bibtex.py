@@ -9,6 +9,12 @@ against definitions seen earlier in the same file.
 Scanning is lenient: a malformed entry is reported as an issue and skipped,
 so one bad entry does not take down the whole bibliography. ``parse_bibtex``
 is the strict wrapper that raises on the first error.
+
+Each scan first builds two tables over the whole text: the matching ``}`` of
+every ``{`` that closes, and the position of every line-start ``@``. Where a
+value or block ends, and where the scan resumes after a broken one, are then
+lookups, so a value that never closes does not rescan the rest of the file.
+A ``(``-delimited block ends at its first ``)`` outside brace groups.
 """
 
 from __future__ import annotations
@@ -28,6 +34,11 @@ _FIELD_NAME = re.compile(r"[^\s=,{}()\"#@][^\s=,{}()\"#]*")
 _MACRO_NAME = re.compile(r"[^\s,#{}()\"@][^\s,#{}()\"]*")
 _NUMBER = re.compile(r"[0-9]+")
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
+_WS = re.compile(r"\s*")
+_BLOCK_START = re.compile(r"^[^\S\n]*@", re.M)
+# What can end a group closed by ')', '}' or '"': that char, or a brace;
+# ``_STOPS["}"]`` finds every brace.
+_STOPS = {ch: re.compile(f"[{{}}{ch}]") for ch in ')}"'}
 
 _SKIPPED_KINDS = ("comment", "preamble")
 
@@ -83,6 +94,16 @@ class _Scanner:
         self._wide_pos = [m.start() for m in _NON_ASCII.finditer(text)]
         self._extra = [0, *accumulate(len(text[p].encode("utf-8")) - 1
                                       for p in self._wide_pos)]
+        # Where each '{' that closes is closed, and where each line-start '@'
+        # is: every "where does this end?" below is a lookup in these two.
+        self._close: dict[int, int] = {}
+        opened: list[int] = []
+        for m in _STOPS["}"].finditer(text):
+            if m.group() == "{":
+                opened.append(m.start())
+            elif opened:
+                self._close[opened.pop()] = m.start()
+        self._starts = [m.end() - 1 for m in _BLOCK_START.finditer(text)]
 
     # -- helpers ----------------------------------------------------------
 
@@ -99,91 +120,54 @@ class _Scanner:
         return None
 
     def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _WS.match(self.text, self.pos).end()
 
-    def _at_line_start(self, pos: int) -> bool:
-        """True if only whitespace precedes ``pos`` on its line."""
-        line_start = self.text.rfind("\n", 0, pos) + 1
-        return not self.text[line_start:pos].strip()
+    def _next_block(self, pos: int) -> int:
+        """The first line-start ``@`` at or after ``pos``, or the end."""
+        i = bisect_left(self._starts, pos)
+        return self._starts[i] if i < len(self._starts) else len(self.text)
 
-    def _skip_to_next_block(self, pos: int) -> None:
-        """Resume at the first line-start ``@`` after ``pos``, or at the end.
-
-        Used after a value that never closes: everything up to the next block
-        belongs to the broken one, but the blocks after it survive.
-        """
-        at = self.text.find("@", pos)
-        while at != -1 and not self._at_line_start(at):
-            at = self.text.find("@", at + 1)
-        self.pos = len(self.text) if at == -1 else at
+    def _block_end(self, pos: int, close_ch: str) -> int | None:
+        """Just past the first ``close_ch`` at or after ``pos`` outside brace
+        groups; None if an unclosed ``{`` or a stray ``}`` comes first."""
+        stops = _STOPS[close_ch]
+        while m := stops.search(self.text, pos):
+            if m.group() == close_ch:
+                return m.end()
+            end = self._close.get(m.start())
+            if end is None:  # a '{' that never closes, or a stray '}'
+                return None
+            pos = end + 1
+        return None
 
     def _recover(self, close_ch: str) -> None:
         """Skip past the rest of a broken entry.
 
-        Balances braces from the already-open entry delimiter; bails out at any
-        line that starts a new ``@`` block, so later entries survive even when
+        Stops at the entry's own close, or at any line that starts a new
+        ``@`` block if that comes first, so later entries survive even when
         the broken one never closes or closes too early.
         """
-        depth = 1
-        # _skip_ws may already have moved onto the next line's ``@``.
-        at_line_start = self._at_line_start(self.pos)
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if at_line_start and ch == "@":
-                return
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0 and close_ch == "}":
-                    self.pos += 1
-                    return
-            elif ch == close_ch == ")" and depth == 1:
-                self.pos += 1
-                return
-            at_line_start = ch == "\n" or (at_line_start and ch.isspace())
-            self.pos += 1
+        end = self._block_end(self.pos, close_ch) or len(self.text)
+        self.pos = min(end, self._next_block(self.pos))
 
     # -- value parsing ----------------------------------------------------
 
     def _read_braced(self) -> str:
         open_pos = self.pos
-        self.pos += 1
-        depth = 1
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    value = self.text[start:self.pos]
-                    self.pos += 1
-                    return value
-            self.pos += 1
-        raise _Unbalanced(open_pos)
+        end = self._close.get(open_pos)
+        if end is None:
+            raise _Unbalanced(open_pos)
+        self.pos = end + 1
+        return self.text[open_pos + 1:end]
 
     def _read_quoted(self) -> str:
+        # Braces must balance inside quotes too.
         open_pos = self.pos
-        self.pos += 1
-        depth = 0
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth < 0:   # braces must balance inside quotes too
-                    raise _Unbalanced(open_pos)
-            elif ch == '"' and depth == 0:
-                value = self.text[start:self.pos]
-                self.pos += 1
-                return value
-            self.pos += 1
-        raise _Unbalanced(open_pos)
+        end = self._block_end(open_pos + 1, '"')
+        if end is None:
+            raise _Unbalanced(open_pos)
+        self.pos = end
+        return self.text[open_pos + 1:end - 1]
 
     def _read_value(self, cite_key: str | None) -> str:
         parts: list[str] = []
@@ -224,22 +208,11 @@ class _Scanner:
         if ch not in ("{", "("):
             # bare @comment without a group: nothing to skip
             return
-        close_ch = "}" if ch == "{" else ")"
-        open_pos = self.pos
-        self.pos += 1
-        depth = 1
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "{" or (c == "(" and close_ch == ")"):
-                depth += 1
-            elif c == close_ch:
-                depth -= 1
-                if depth == 0:
-                    self.pos += 1
-                    return
-            self.pos += 1
-        self._issue("error", f"unbalanced braces in @{kind} block", at)
-        self._skip_to_next_block(open_pos)
+        end = self._block_end(self.pos + 1, "}" if ch == "{" else ")")
+        if end is None:
+            self._issue("error", f"unbalanced braces in @{kind} block", at)
+            end = self._next_block(self.pos)
+        self.pos = end
 
     def _read_macro_def(self, at: int) -> None:
         ch = self._peek()
@@ -266,7 +239,7 @@ class _Scanner:
             value = self._read_value(None)
         except _Unbalanced as exc:
             self._issue("error", f"unbalanced braces in @string '{name}'", exc.open_pos)
-            self._skip_to_next_block(exc.open_pos)
+            self.pos = self._next_block(exc.open_pos)
             return
         except _ValueSyntax as exc:
             self._issue("error", exc.message + f" in @string '{name}'", exc.pos)
@@ -351,7 +324,7 @@ class _Scanner:
             except _Unbalanced as exc:
                 self._issue("error", f"unbalanced braces in entry '{cite_key}'",
                             exc.open_pos, cite_key)
-                self._skip_to_next_block(exc.open_pos)
+                self.pos = self._next_block(exc.open_pos)
                 return False
             except _ValueSyntax as exc:
                 self._issue("error", exc.message + f" in entry '{cite_key}'",

@@ -160,6 +160,29 @@ def test_unbalanced_comment_costs_only_the_comment():
         ("error", "unbalanced braces in @comment block", 0)]
 
 
+@pytest.mark.parametrize("block", [
+    '@preamble("\\newcommand{\\x}{y}")',
+    "@comment(see {x})",
+    "@comment(\n@article{a, title={T}}\n)",   # comments the entry out
+    "@comment{\n@article{a, title={T}}\n}",
+])
+def test_balanced_comment_or_preamble_hides_what_is_inside_it(block):
+    entries, issues = scan_bibtex(block + "\n@book{b, title={B}}\n")
+    assert [e.cite_key for e in entries] == ["b"]
+    assert issues == []
+
+
+@pytest.mark.parametrize("broken", [
+    "@misc{k, title={a} junk {b}}",
+    "@misc(k, title=x y)",
+    "@misc(k, title={a)b} junk)",
+])
+def test_broken_entry_ends_at_its_own_close_on_the_same_line(broken):
+    entries, issues = scan_bibtex(broken + " @misc{m, title={M}}")
+    assert [e.cite_key for e in entries] == ["m"]
+    assert [i.cite_key for i in issues if i.severity == "error"] == ["k"]
+
+
 @pytest.mark.parametrize("c_title, keys, broken", [
     ('"{"', ["b"], ["a", "c"]),       # c's own quoted value is unbalanced too
     ('"{x}"', ["b", "c"], ["a"]),
@@ -257,6 +280,25 @@ def test_scan_time_grows_linearly(data_dir):
     # 8x the entries: about 8x the time when linear, 29-43x for the old
     # prefix-re-encoding scan at this size (64x only asymptotically).
     assert best[large] < 20 * best[small]
+
+
+def test_scan_time_grows_linearly_in_broken_values(data_dir):
+    text = _scaled_fixture(data_dir, 40)
+    broken = {n: re.sub(r"^  title = \{", "  title = {Two {un{closed ", text,
+                        count=n, flags=re.M) for n in (1, 40)}
+    for n, kept in ((1, 1719), (40, 1680)):
+        entries, issues = scan_bibtex(broken[n])
+        assert len(entries) == kept
+        assert [i.severity for i in issues] == ["error"] * n
+    best = {n: float("inf") for n in broken}
+    for _ in range(3):  # interleaved, so both see the same machine load
+        for n, bib in broken.items():
+            start = time.perf_counter()
+            scan_bibtex(bib)
+            best[n] = min(best[n], time.perf_counter() - start)
+    # Each value that never closes must not rescan the file: about 1x when
+    # the block structure is computed once, about 17x when each walks to EOF.
+    assert best[40] < 4 * best[1]
 
 
 def test_round_trip_on_fixture_corpus(data_dir):

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+import requests
 
 from refsum import (CountCache, NullProvider, ProviderError, ReferenceRecord,
                     ScholarLookupProvider, StaticCountProvider,
@@ -97,7 +98,8 @@ def test_concurrent_lookups_preserve_input_order():
 def test_cache_survives_reload_and_corrupt_lines(tmp_path):
     cache = CountCache(tmp_path)
     cache.put("k1", 7)
-    (tmp_path / "citations.tsv").open("a").write("garbage line no tabs\nk2\tnotanint\tx\n")
+    with (tmp_path / "citations.tsv").open("a") as f:
+        f.write("garbage line no tabs\nk2\tnotanint\tx\n")
     reloaded = CountCache(tmp_path)
     assert reloaded.get("k1") == 7
     assert reloaded.get("k2") is None
@@ -237,30 +239,38 @@ def fake_scholar():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
-def test_http_provider_matches_by_title(fake_scholar):
+@pytest.fixture
+def session():
+    with requests.Session() as s:
+        yield s
+
+
+def test_http_provider_matches_by_title(fake_scholar, session):
     _FakeScholarHandler.payload = {"data": [
         {"title": "Other Work", "year": 2001, "citationCount": 9},
         {"title": "The Exact Title", "year": 2014, "citationCount": 42},
     ]}
     provider = ScholarLookupProvider(
-        base_url=f"http://127.0.0.1:{fake_scholar.server_address[1]}")
+        base_url=f"http://127.0.0.1:{fake_scholar.server_address[1]}", session=session)
     assert provider.resolve("The Exact Title", "Smith", 2014) == 42
 
 
-def test_http_provider_year_fallback_and_miss(fake_scholar):
+def test_http_provider_year_fallback_and_miss(fake_scholar, session):
     _FakeScholarHandler.payload = {"data": [
         {"title": "Close Enough Variant", "year": 2015, "citationCount": 7},
     ]}
     provider = ScholarLookupProvider(
-        base_url=f"http://127.0.0.1:{fake_scholar.server_address[1]}")
+        base_url=f"http://127.0.0.1:{fake_scholar.server_address[1]}", session=session)
     assert provider.resolve("Some Title", "Smith", 2014) == 7
     _FakeScholarHandler.payload = {"data": []}
     assert provider.resolve("Some Title", "Smith", 2014) is None
 
 
-def test_http_provider_transport_failure_raises_provider_error():
-    provider = ScholarLookupProvider(base_url="http://127.0.0.1:1", timeout=0.2)
+def test_http_provider_transport_failure_raises_provider_error(session):
+    provider = ScholarLookupProvider(base_url="http://127.0.0.1:1", timeout=0.2,
+                                     session=session)
     with pytest.raises(ProviderError):
         provider.resolve("T", "Smith", 2014)
