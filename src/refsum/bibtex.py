@@ -37,8 +37,10 @@ _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 _WS = re.compile(r"\s*")
 _BLOCK_START = re.compile(r"^[^\S\n]*@", re.M)
 # What can end a group closed by ')', '}' or '"': that char, or a brace;
-# ``_STOPS["}"]`` finds every brace.
-_STOPS = {ch: re.compile(f"[{{}}{ch}]") for ch in ')}"'}
+# ``_STOPS["}"]`` finds every brace. A quoted value also stops at a
+# line-start '@' outside brace groups, which starts a new block.
+_STOPS = {ch: re.compile(f"[{{}}{ch}]") for ch in ")}"}
+_STOPS['"'] = re.compile(r'[{}"]|' + _BLOCK_START.pattern, re.M)
 
 _SKIPPED_KINDS = ("comment", "preamble")
 
@@ -129,13 +131,14 @@ class _Scanner:
 
     def _block_end(self, pos: int, close_ch: str) -> int | None:
         """Just past the first ``close_ch`` at or after ``pos`` outside brace
-        groups; None if an unclosed ``{`` or a stray ``}`` comes first."""
+        groups; None if an unclosed ``{``, a stray ``}`` or, for ``"``, a
+        line-start ``@`` comes first."""
         stops = _STOPS[close_ch]
         while m := stops.search(self.text, pos):
             if m.group() == close_ch:
                 return m.end()
             end = self._close.get(m.start())
-            if end is None:  # a '{' that never closes, or a stray '}'
+            if end is None:  # a '{' that never closes, a stray '}' or an '@'
                 return None
             pos = end + 1
         return None

@@ -14,7 +14,6 @@ diff-friendly.
 from __future__ import annotations
 
 import json
-import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,13 +23,12 @@ from .config import LOOKUP_WORKERS
 from .errors import ProviderError
 from .records import ReferenceRecord
 
-_WS = re.compile(r"\s+")
-
 CACHE_FILENAME = "citations.tsv"
 
 
 def _norm(text: str) -> str:
-    return _WS.sub(" ", text.strip().lower())
+    """Lowercase, with each whitespace run one space and none at the ends."""
+    return " ".join(text.lower().split())
 
 
 def lookup_key(title: str, family: str, year: int | None) -> str:

@@ -263,19 +263,32 @@ def derive_self_citations(records: list[ReferenceRecord],
 
 # -- line-delimited record files ----------------------------------------------
 
-def _names_from_json(value, rid: str, warnings: list[str]) -> list[PersonName]:
+def _names_from_json(value, rid: str, warnings: list[str],
+                     memo: dict[str | tuple[str, str], tuple[PersonName, ...]]
+                     ) -> tuple[PersonName, ...]:
     """One author item: a name string, split on ``and`` with a warning when it
-    holds several, or an object with ``family``; else warn and drop it."""
+    holds several, or an object with ``family``; else warn and drop it.
+
+    ``memo`` maps each string item, and each object's ``(family, given)``,
+    already seen in this load to its names: equal items share one parse and
+    one ``PersonName``, while every warning still fires once per item.
+    """
     if isinstance(value, str):
-        names = parse_person_names(value)
+        names = memo.get(value)
+        if names is None:
+            names = memo[value] = tuple(parse_person_names(value))
         if len(names) > 1:
             warnings.append(f"{rid}: author item {value!r} holds {len(names)} names, split")
         if names:
             return names
     elif isinstance(value, dict) and value.get("family"):
-        return [PersonName(family=str(value["family"]), given=str(value.get("given", "")))]
+        pair = (str(value["family"]), str(value.get("given", "")))
+        names = memo.get(pair)
+        if names is None:
+            names = memo[pair] = (PersonName(*pair),)
+        return names
     warnings.append(f"{rid}: author {value!r} is not a name, dropped")
-    return []
+    return ()
 
 
 def _typed(obj: dict, key: str, kind: type, default, rid: str, warnings: list[str]):
@@ -295,6 +308,7 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
     if warnings is None:
         warnings = []
     records = []
+    memo: dict[str | tuple[str, str], tuple[PersonName, ...]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -306,7 +320,7 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
             raise RecordFileError(f"line {lineno}: expected an object")
         rid = str(obj.get("id") or f"r{lineno}")
         names = _typed(obj, "authors", list, (), rid, warnings)
-        authors = tuple(n for item in names for n in _names_from_json(item, rid, warnings))
+        authors = tuple(n for item in names for n in _names_from_json(item, rid, warnings, memo))
         year = obj.get("year")
         if year is not None:
             if not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:

@@ -231,6 +231,67 @@ def test_garbage_then_an_entry_on_its_own_line_yields_the_entry(text):
         ("zzgood", {"title": "Ok", "year": "2020"})]
 
 
+# Line-start blocks, and quotes that may run across them. No '(' comment or
+# preamble: those hide what is inside them, which the oracle below ignores.
+_LINE_BLOCKS = ["\n@misc{k}", "\n@misc{k,", 'title="', '"}', "@string(", "@preamble{", "@misc(k,"]
+blocks_text = st.lists(st.sampled_from(_FRAGMENTS + _LINE_BLOCKS), max_size=60).map("".join)
+_NAME = r"@([A-Za-z][A-Za-z0-9_-]*)"
+_OPENED_BY = re.compile(r"(?:^|\n)[^\S\n]*" + _NAME + r"\s*$")
+_LINE_START_BLOCK = re.compile(r"^[^\S\n]*" + _NAME + r"\s*[{(]\s*([^\s,{}()@]*)", re.M)
+_LINE_START_AT = re.compile(r"^[^\S\n]*@", re.M)
+
+
+def _in_brace_group(text: str) -> list[bool]:
+    """Per position: inside a balanced ``{...}`` other than the one that
+    opens a line-start entry or ``@string`` block; a ``@comment{`` or
+    ``@preamble{`` group counts, since it hides what is inside it."""
+    close, opened = {}, []
+    for m in re.finditer("[{}]", text):
+        if m.group() == "{":
+            opened.append(m.start())
+        elif opened:
+            close[opened.pop()] = m.start()
+    inside = [False] * len(text)
+    for start in sorted(close):
+        block = _OPENED_BY.search(text, 0, start)
+        if inside[start] or not block or block.group(1).lower() in ("comment", "preamble"):
+            inside[start + 1:close[start]] = [True] * (close[start] - start - 1)
+    return inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks_text)
+@example('@misc{k, title="a\n@article{b, title={x}}\n"}\n')
+@example('@string{title="\n@misc{k}"')
+def test_every_line_start_entry_is_returned_or_named_in_an_issue(text):
+    entries, issues = scan_bibtex(text)
+    inside = _in_brace_group(text)
+    starts = [m.end() - 1 for m in _LINE_START_AT.finditer(text)] + [len(text)]
+    returned = {e.offset for e in entries}
+    for m in _LINE_START_BLOCK.finditer(text):
+        at = m.start(1) - 1
+        if m.group(1).lower() in ("string", "comment", "preamble") or inside[at]:
+            continue
+        # An issue names the block by its cite key, or by an offset between
+        # its '@' and the next line-start '@'.
+        first = len(text[:at].encode("utf-8"))
+        last = len(text[:min(s for s in starts if s > at)].encode("utf-8"))
+        assert first in returned or any(
+            first <= i.offset <= last or (m.group(2) and i.cite_key == m.group(2))
+            for i in issues), (at, entries, issues)
+
+
+@pytest.mark.parametrize("text,keys,message", [
+    ('@misc{k, title="a\n@article{b, title={x}}\n"}\n', ["b"], "unbalanced braces in entry 'k'"),
+    ('@string{t="\n@misc{k}"', ["k"], "unbalanced braces in @string 't'"),
+    ('@misc{k, title="{a\n@b{c}}"}', ["k"], None),   # inside a brace group: part of the value
+])
+def test_quoted_value_stops_at_a_line_start_block(text, keys, message):
+    entries, issues = scan_bibtex(text)
+    assert [e.cite_key for e in entries] == keys
+    assert [i.message for i in issues] == ([message] if message else [])
+
+
 @settings(max_examples=300, deadline=None)
 @given(bib_like_text)
 def test_offsets_are_utf8_byte_offsets(text):

@@ -240,6 +240,20 @@ def test_enrich_warms_cache_only(capsys, data_dir, tmp_path):
     assert "16 from cache" in err
 
 
+def test_enrich_answers_from_a_cache_an_earlier_release_wrote(capsys, data_dir, tmp_path):
+    """``cache_v1`` holds what an earlier ``refsum enrich`` on fixture20 wrote:
+    the cache keys stay stable, so every hit lands and nothing is appended."""
+    written = (data_dir / "cache_v1" / "citations.tsv").read_bytes()
+    (tmp_path / "citations.tsv").write_bytes(written)
+    code, _, err = _run(capsys, "enrich", str(data_dir / "fixture20.bib"),
+                        "--provider", "mock",
+                        "--counts", str(data_dir / "fixture20_counts.json"),
+                        "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert "16 from cache, 0 from provider" in err
+    assert (tmp_path / "citations.tsv").read_bytes() == written
+
+
 def test_enrich_requires_provider_and_cache(capsys, data_dir):
     code, _, _ = _run(capsys, "enrich", str(data_dir / "fixture20.bib"))
     assert code == 2

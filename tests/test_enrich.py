@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -8,17 +9,44 @@ from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from refsum import (CountCache, NullProvider, ProviderError, ReferenceRecord,
                     ScholarLookupProvider, StaticCountProvider,
                     enrich_citation_counts, parse_person_names)
-from refsum.enrich import lookup_key
+from refsum.enrich import _norm, lookup_key
 
 
 def _record(rid, title, count=None):
     return ReferenceRecord(id=rid, title=title, year=2014,
                            authors=tuple(parse_person_names("John Smith")),
                            citation_count=count)
+
+
+# Digests written by earlier releases: a citations.tsv keeps answering only
+# while lookup_key maps each triple to the same key.
+@pytest.mark.parametrize("title,family,year,digest", [
+    ("Deep\tLearning\nfor  Search", "Smith", 2019,
+     "179d4fae3a39e64e9da0e0592e7b152d7cc0bb2837961f86acd2102fbff4d81e"),
+    ("  Padded Title  ", " van Beethoven ", None,
+     "2c63d44d7e1c89efa4ae08529e842c60eae79b7a9ac228a93eb5a64a77659262"),
+    ("A\x1cB\u2028C", "Ng", 2020,
+     "30752967adcd6bdfaff5bb042ad49e624002b26bac38afbf30daa17e9e8a29bf"),
+    ("Wide\u3000Space\xa0Title", "M\u00fcller", 0,
+     "53c2d77cfe3a6b816a6aa70a56f8514dc0b2c7c830af913de5ac3ecad174cc61"),
+    ("\u0130stanbul STRASSE \u03a3", "Stra\u00dfe", 1999,
+     "97eabe5583ea59e270805b7121718d4d44e60d3c7c8d165069fd2eec3a9829c6"),
+    ("", "", None,
+     "565d240f5343e625ae579a4d45a770f1f02c6368b5ed4d06da4fbe6f47c28866"),
+])
+def test_lookup_key_digests_are_pinned(title, family, year, digest):
+    assert lookup_key(title, family, year) == digest
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+def test_norm_matches_the_whitespace_regex(text):
+    assert _norm(text) == re.sub(r"\s+", " ", text.strip().lower())
 
 
 def test_static_provider_fills_counts_and_cache(tmp_path):

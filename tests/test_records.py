@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refsum import (ConfigError, PersonName, RawEntry, ReferenceRecord,
                     de_latex, detect_self_citation, load_record_lines, load_taxonomy,
@@ -212,3 +213,62 @@ def test_author_item_holding_several_names_is_split_with_a_warning():
     [record] = load_record_lines(line, warnings)
     assert [a.display() for a in record.authors] == ["Jane Doe", "John Roe", "Ann Poe"]
     assert warnings == ["r1: author item 'Jane Doe and John Roe' holds 2 names, split"]
+
+
+def test_equal_author_items_share_one_name_object_per_load():
+    authors = ["Jane Doe", {"family": "Poe", "given": "Ann"}]
+    text = "\n".join(json.dumps({"id": f"r{i}", "authors": authors}) for i in range(2))
+    first, second = load_record_lines(text)
+    assert first.authors == second.authors
+    assert all(a is b for a, b in zip(first.authors, second.authors))
+
+
+def test_author_item_warnings_fire_once_per_record_that_has_the_item():
+    text = "\n".join(json.dumps({"id": f"r{i}", "authors": ["Jane Doe and John Roe", "others"]})
+                     for i in range(3))
+    warnings: list[str] = []
+    load_record_lines(text + "\n" + json.dumps({"id": "r3", "authors": ["others"]}), warnings)
+    split = [w for w in warnings if w.endswith("holds 2 names, split")]
+    dropped = [w for w in warnings if w.endswith("is not a name, dropped")]
+    assert split == [f"r{i}: author item 'Jane Doe and John Roe' holds 2 names, split"
+                     for i in range(3)]
+    assert dropped == [f"r{i}: author 'others' is not a name, dropped" for i in range(4)]
+
+
+_AUTHOR_ITEMS = st.one_of(
+    st.sampled_from(["Jane Doe", "Doe, Jane", "Jane Doe and John Roe",
+                     "Roe, J. and others", "others", ","]),
+    st.fixed_dictionaries({"family": st.sampled_from(["Doe", 7])},
+                          optional={"given": st.sampled_from(["Jane", "John", None])}),
+    st.text(max_size=12),
+    st.sampled_from([42, None, {"given": "X"}, ["Jane Doe"]]),
+)
+
+
+def _record_lines(items):
+    """Record lines whose author items come from ``items``, so items repeat."""
+    return st.one_of(
+        st.just(""),
+        st.fixed_dictionaries({"authors": st.lists(items, min_size=1, max_size=4)}, optional={
+            "id": st.sampled_from(["a", "b", ""]),
+            "year": st.sampled_from([2001, 99, "2001"]),
+        }).map(json.dumps),
+    )
+
+
+_RECORD_FILES = st.lists(_AUTHOR_ITEMS, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(_record_lines(st.sampled_from(pool)), min_size=2, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORD_FILES)
+def test_loading_a_file_equals_loading_each_line_alone(lines):
+    whole_warnings: list[str] = []
+    whole = load_record_lines("\n".join(lines), whole_warnings)
+    # Each line loads alone, after blank lines that keep its line number, so
+    # no parse or name object is shared with any other line.
+    alone, alone_warnings = [], []
+    for lineno, line in enumerate(lines):
+        alone += load_record_lines("\n" * lineno + line, alone_warnings)
+    assert whole == alone
+    assert whole_warnings == alone_warnings
