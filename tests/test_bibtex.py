@@ -160,6 +160,54 @@ def test_unbalanced_comment_costs_only_the_comment():
         ("error", "unbalanced braces in @comment block", 0)]
 
 
+# One row per fault the scanner reports: the input, the one issue it gives as
+# (severity, message, byte offset, cite key), and the cite keys that survive.
+# The entries after the fault show where the scan resumes: on the same line,
+# at the broken block's own close, or at the next line-start '@'.
+@pytest.mark.parametrize("text, issue, keys", [
+    ("@comment{ {x @misc{m}\n@misc{n}",
+     ("error", "unbalanced braces in @comment block", 0, None), ["n"]),
+    ("@string x @misc{m}", ("error", "expected '{' after @string", 8, None), ["m"]),
+    ("@string{ = {v}} @misc{m}",
+     ("error", "missing macro name in @string block", 9, None), ["m"]),
+    ("@string{x {v}} @misc{m}",
+     ("error", "expected '=' in @string definition of 'x'", 10, None), ["m"]),
+    ("@string{x = {v @misc{m}\n@misc{n}",
+     ("error", "unbalanced braces in @string 'x'", 12, None), ["n"]),
+    ("@string{x = ,} @misc{m}",
+     ("error", "expected a field value in @string 'x'", 12, None), ["m"]),
+    ("@misc k @misc{m}", ("error", "expected '{' after '@misc'", 6, None), ["m"]),
+    ("@misc{, title={t}} @misc{m}",
+     ("error", "missing cite key in '@misc' entry", 6, None), ["m"]),
+    ("@misc{k title={t}} @misc{m}",
+     ("error", "expected ',' after cite key 'k'", 8, "k"), ["m"]),
+    ("@misc{k}\n@misc{k} @misc{m}",
+     ("error", "duplicate cite key 'k' (first at byte 0, again at byte 9)", 9, "k"),
+     ["k", "m"]),
+    ("@misc{m}\n@misc(k, title={t},",
+     ("error", "unterminated entry 'k' (missing ')')", 9, "k"), ["m"]),
+    ("@misc{k, ={t}} @misc{m}",
+     ("error", "expected a field name in entry 'k'", 9, "k"), ["m"]),
+    ("@misc{k, title {t}} @misc{m}",
+     ("error", "expected '=' after field name 'title' in entry 'k'", 15, "k"), ["m"]),
+    ("@misc{k, title={t @misc{m}\n@misc{n}",
+     ("error", "unbalanced braces in entry 'k'", 15, "k"), ["n"]),
+    ("@misc{k, title=,} @misc{m}",
+     ("error", "expected a field value in entry 'k'", 15, "k"), ["m"]),
+    ("@misc{k, title={a} junk} @misc{m}",
+     ("error", "expected ',' or '}' after field 'title' in entry 'k'", 19, "k"), ["m"]),
+    ("@misc{k, month=jan} @misc{m}",
+     ("warning", "undefined macro 'jan' kept verbatim", 15, "k"), ["k", "m"]),
+    ("@misc{k, title={a}, title={b}} @misc{m}",
+     ("warning", "duplicate field 'title' in entry 'k' overwrites the earlier value", 20, "k"),
+     ["k", "m"]),
+])
+def test_each_fault_is_reported_once_and_the_scan_resumes_after_it(text, issue, keys):
+    entries, issues = scan_bibtex(text)
+    assert [(i.severity, i.message, i.offset, i.cite_key) for i in issues] == [issue]
+    assert [e.cite_key for e in entries] == keys
+
+
 @pytest.mark.parametrize("block", [
     '@preamble("\\newcommand{\\x}{y}")',
     "@comment(see {x})",
