@@ -15,6 +15,12 @@ every ``{`` that closes, and the position of every line-start ``@``. Where a
 value or block ends, and where the scan resumes after a broken one, are then
 lookups, so a value that never closes does not rescan the rest of the file.
 A ``(``-delimited block ends at its first ``)`` outside brace groups.
+
+A syntax error that ends a block is raised once, as ``_Fault``, by the site
+that finds it; that site also says where scanning resumes. ``_Scanner.scan``
+is the one place that records such an error and resumes. The two warnings
+(an undefined macro, a duplicate field) end nothing and are recorded where
+they are found.
 """
 
 from __future__ import annotations
@@ -71,15 +77,13 @@ class RawEntry:
     offset: int = field(default=0, compare=False)
 
 
-class _Unbalanced(Exception):
-    def __init__(self, open_pos: int) -> None:
-        self.open_pos = open_pos
+class _Fault(Exception):
+    """A syntax error that ends the block being read. ``scan`` records it at
+    ``pos`` and resumes at ``resume``, which the raising site works out."""
 
-
-class _ValueSyntax(Exception):
-    def __init__(self, pos: int, message: str) -> None:
-        self.pos = pos
-        self.message = message
+    def __init__(self, message: str, pos: int, resume: int,
+                 cite_key: str | None = None) -> None:
+        self.message, self.pos, self.resume, self.cite_key = message, pos, resume, cite_key
 
 
 class _Scanner:
@@ -143,59 +147,56 @@ class _Scanner:
             pos = end + 1
         return None
 
-    def _recover(self, close_ch: str) -> None:
-        """Skip past the rest of a broken entry.
-
-        Stops at the entry's own close, or at any line that starts a new
-        ``@`` block if that comes first, so later entries survive even when
-        the broken one never closes or closes too early.
-        """
+    def _rest(self, close_ch: str) -> int:
+        """Where a block broken at ``pos`` ends: at its own close, or at the
+        next line-start ``@`` if that comes first, so later entries survive
+        even when the broken one never closes or closes too early."""
         end = self._block_end(self.pos, close_ch) or len(self.text)
-        self.pos = min(end, self._next_block(self.pos))
+        return min(end, self._next_block(self.pos))
 
     # -- value parsing ----------------------------------------------------
 
-    def _read_braced(self) -> str:
-        open_pos = self.pos
-        end = self._close.get(open_pos)
-        if end is None:
-            raise _Unbalanced(open_pos)
-        self.pos = end + 1
-        return self.text[open_pos + 1:end]
-
-    def _read_quoted(self) -> str:
-        # Braces must balance inside quotes too.
-        open_pos = self.pos
-        end = self._block_end(open_pos + 1, '"')
-        if end is None:
-            raise _Unbalanced(open_pos)
-        self.pos = end
-        return self.text[open_pos + 1:end - 1]
-
-    def _read_value(self, cite_key: str | None) -> str:
+    def _read_value(self, where: str, cite_key: str | None, close_ch: str) -> str:
+        """One value, ``#`` concatenations included, of the field or macro
+        that ``where`` names (``entry 'k'`` or ``@string 'n'``)."""
         parts: list[str] = []
         while True:
             self._skip_ws()
+            start = self.pos
             ch = self._peek()
             if ch == "{":
-                parts.append(self._read_braced())
+                end = self._close.get(start)
+                if end is None:
+                    raise _Fault(f"unbalanced braces in {where}", start,
+                                 self._next_block(start), cite_key)
+                parts.append(self.text[start + 1:end])
+                self.pos = end + 1
             elif ch == '"':
-                parts.append(self._read_quoted())
+                # Braces must balance inside quotes too.
+                end = self._block_end(start + 1, '"')
+                if end is None:
+                    resume = self._next_block(start)
+                    braces = _STOPS["}"].search(self.text, start, resume)
+                    problem = "unbalanced braces" if braces else "unterminated quoted value"
+                    raise _Fault(f"{problem} in {where}", start, resume, cite_key)
+                parts.append(self.text[start + 1:end - 1])
+                self.pos = end
             elif ch is not None and ch.isdigit():
-                m = _NUMBER.match(self.text, self.pos)
+                m = _NUMBER.match(self.text, start)
                 assert m is not None
                 parts.append(m.group(0))
                 self.pos = m.end()
             else:
-                m = _MACRO_NAME.match(self.text, self.pos) if ch else None
+                m = _MACRO_NAME.match(self.text, start) if ch else None
                 if not m:
-                    raise _ValueSyntax(self.pos, "expected a field value")
+                    raise _Fault(f"expected a field value in {where}", start,
+                                 self._rest(close_ch), cite_key)
                 name = m.group(0)
                 self.pos = m.end()
                 resolved = self.macros.get(name.lower())
                 if resolved is None:
                     self._issue("warning", f"undefined macro '{name}' kept verbatim",
-                                m.start(), cite_key)
+                                start, cite_key)
                     resolved = name
                 parts.append(resolved)
             self._skip_ws()
@@ -213,150 +214,98 @@ class _Scanner:
             return
         end = self._block_end(self.pos + 1, "}" if ch == "{" else ")")
         if end is None:
-            self._issue("error", f"unbalanced braces in @{kind} block", at)
-            end = self._next_block(self.pos)
+            raise _Fault(f"unbalanced braces in @{kind} block", at, self._next_block(self.pos))
         self.pos = end
 
-    def _read_macro_def(self, at: int) -> None:
+    def _open_block(self, what: str) -> str:
+        """Step into the block after ``what``; return the char that closes it."""
         ch = self._peek()
         if ch not in ("{", "("):
-            self._issue("error", "expected '{' after @string", self.pos)
-            return
-        close_ch = "}" if ch == "{" else ")"
+            raise _Fault(f"expected '{{' after {what}", self.pos, self.pos)
         self.pos += 1
         self._skip_ws()
+        return "}" if ch == "{" else ")"
+
+    def _read_macro_def(self) -> None:
+        close_ch = self._open_block("@string")
         m = _FIELD_NAME.match(self.text, self.pos)
         if not m:
-            self._issue("error", "missing macro name in @string block", self.pos)
-            self._recover(close_ch)
-            return
+            raise _Fault("missing macro name in @string block", self.pos, self._rest(close_ch))
         name = m.group(0).lower()
         self.pos = m.end()
         self._skip_ws()
         if self._peek() != "=":
-            self._issue("error", f"expected '=' in @string definition of '{name}'", self.pos)
-            self._recover(close_ch)
-            return
+            raise _Fault(f"expected '=' in @string definition of '{name}'", self.pos,
+                         self._rest(close_ch))
         self.pos += 1
-        try:
-            value = self._read_value(None)
-        except _Unbalanced as exc:
-            self._issue("error", f"unbalanced braces in @string '{name}'", exc.open_pos)
-            self.pos = self._next_block(exc.open_pos)
-            return
-        except _ValueSyntax as exc:
-            self._issue("error", exc.message + f" in @string '{name}'", exc.pos)
-            self._recover(close_ch)
-            return
+        value = self._read_value(f"@string '{name}'", None, close_ch)
         self._skip_ws()
         if self._peek() == close_ch:
             self.pos += 1
         self.macros[name] = value
 
     def _read_entry(self, kind: str, at: int) -> None:
-        ch = self._peek()
-        if ch not in ("{", "("):
-            self._issue("error", f"expected '{{' after '@{kind}'", self.pos)
-            return
-        close_ch = "}" if ch == "{" else ")"
-        self.pos += 1
-        self._skip_ws()
+        close_ch = self._open_block(f"'@{kind}'")
         m = _CITE_KEY.match(self.text, self.pos)
         if not m:
-            self._issue("error", f"missing cite key in '@{kind}' entry", self.pos)
-            self._recover(close_ch)
-            return
+            raise _Fault(f"missing cite key in '@{kind}' entry", self.pos, self._rest(close_ch))
         cite_key = m.group(0)
         self.pos = m.end()
-        self._skip_ws()
-        fields: dict[str, str] = {}
-        ch = self._peek()
-        if ch == ",":
-            self.pos += 1
-            if not self._read_fields(cite_key, close_ch, fields, at):
-                return
-        elif ch == close_ch:
-            self.pos += 1
-        else:
-            self._issue("error", f"expected ',' after cite key '{cite_key}'",
-                        self.pos, cite_key)
-            self._recover(close_ch)
-            return
+        fields = self._read_fields(cite_key, close_ch, at)
         if cite_key in self._first_seen:
             first = self._byte(self._first_seen[cite_key])
-            self._issue("error",
-                        f"duplicate cite key '{cite_key}' "
-                        f"(first at byte {first}, again at byte {self._byte(at)})",
-                        at, cite_key)
-            return
+            raise _Fault(f"duplicate cite key '{cite_key}' "
+                         f"(first at byte {first}, again at byte {self._byte(at)})",
+                         at, self.pos, cite_key)
         self._first_seen[cite_key] = at
         self.entries.append(RawEntry(kind, cite_key, fields, offset=self._byte(at)))
 
-    def _read_fields(self, cite_key: str, close_ch: str,
-                     fields: dict[str, str], at: int) -> bool:
+    def _read_fields(self, cite_key: str, close_ch: str, at: int) -> dict[str, str]:
+        """The fields after the cite key, through the entry's close."""
+        self._skip_ws()
+        ch = self._peek()
+        if ch == ",":
+            self.pos += 1
+        elif ch != close_ch:
+            raise _Fault(f"expected ',' after cite key '{cite_key}'", self.pos,
+                         self._rest(close_ch), cite_key)
+        where = f"entry '{cite_key}'"
+        fields: dict[str, str] = {}
         while True:
             self._skip_ws()
             ch = self._peek()
-            if ch is None:
-                self._issue("error",
-                            f"unterminated entry '{cite_key}' (missing '{close_ch}')",
-                            at, cite_key)
-                return False
             if ch == close_ch:
                 self.pos += 1
-                return True
+                return fields
+            if ch is None:
+                raise _Fault(f"unterminated entry '{cite_key}' (missing '{close_ch}')",
+                             at, self.pos, cite_key)
             m = _FIELD_NAME.match(self.text, self.pos)
             if not m:
-                self._issue("error", f"expected a field name in entry '{cite_key}'",
-                            self.pos, cite_key)
-                self._recover(close_ch)
-                return False
+                raise _Fault(f"expected a field name in {where}", self.pos,
+                             self._rest(close_ch), cite_key)
             name = m.group(0).lower()
             self.pos = m.end()
             self._skip_ws()
             if self._peek() != "=":
-                self._issue("error",
-                            f"expected '=' after field name '{name}' in entry '{cite_key}'",
-                            self.pos, cite_key)
-                self._recover(close_ch)
-                return False
+                raise _Fault(f"expected '=' after field name '{name}' in {where}",
+                             self.pos, self._rest(close_ch), cite_key)
             self.pos += 1
-            name_pos = m.start()
-            try:
-                value = self._read_value(cite_key)
-            except _Unbalanced as exc:
-                self._issue("error", f"unbalanced braces in entry '{cite_key}'",
-                            exc.open_pos, cite_key)
-                self.pos = self._next_block(exc.open_pos)
-                return False
-            except _ValueSyntax as exc:
-                self._issue("error", exc.message + f" in entry '{cite_key}'",
-                            exc.pos, cite_key)
-                self._recover(close_ch)
-                return False
+            value = self._read_value(where, cite_key, close_ch)
             if name in fields:
-                self._issue("warning",
-                            f"duplicate field '{name}' in entry '{cite_key}' "
-                            "overwrites the earlier value", name_pos, cite_key)
+                self._issue("warning", f"duplicate field '{name}' in {where} "
+                            "overwrites the earlier value", m.start(), cite_key)
             fields[name] = value
             self._skip_ws()
             ch = self._peek()
             if ch == ",":
                 self.pos += 1
-            elif ch == close_ch or ch is None:
-                continue
-            else:
-                self._issue("error",
-                            f"expected ',' or '{close_ch}' after field '{name}' "
-                            f"in entry '{cite_key}'", self.pos, cite_key)
-                self._recover(close_ch)
-                return False
+            elif ch != close_ch and ch is not None:
+                raise _Fault(f"expected ',' or '{close_ch}' after field '{name}' in {where}",
+                             self.pos, self._rest(close_ch), cite_key)
 
     def scan(self) -> tuple[list[RawEntry], list[ParseIssue]]:
-        while True:
-            at = self.text.find("@", self.pos)
-            if at == -1:
-                break
+        while (at := self.text.find("@", self.pos)) != -1:
             self.pos = at + 1
             m = _KIND.match(self.text, self.pos)
             if not m:
@@ -364,12 +313,16 @@ class _Scanner:
             kind = m.group(0).lower()
             self.pos = m.end()
             self._skip_ws()
-            if kind in _SKIPPED_KINDS:
-                self._skip_block(kind, at)
-            elif kind == "string":
-                self._read_macro_def(at)
-            else:
-                self._read_entry(kind, at)
+            try:
+                if kind in _SKIPPED_KINDS:
+                    self._skip_block(kind, at)
+                elif kind == "string":
+                    self._read_macro_def()
+                else:
+                    self._read_entry(kind, at)
+            except _Fault as fault:
+                self._issue("error", fault.message, fault.pos, fault.cite_key)
+                self.pos = fault.resume
         return self.entries, self.issues
 
 

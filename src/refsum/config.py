@@ -72,7 +72,7 @@ class SummaryConfig:
     quantifier_thresholds: QuantifierThresholds = field(default_factory=QuantifierThresholds)
     comparison_bands: ComparisonBands = field(default_factory=ComparisonBands)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.author_k < 1:

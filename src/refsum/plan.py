@@ -115,7 +115,6 @@ def _require_distribution(profile: SetProfile, attribute: str) -> CategoricalDis
 def build_refset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPlan:
     """Intro with the lead attribute, middle paragraphs in config order,
     author list last. The dominating column's own shape is never planned."""
-    config.validate()
     lead = config.lead()
     if lead is None:
         raise PlanningError("missing profile fragment: lead attribute")
@@ -163,7 +162,6 @@ def build_refset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPla
 def build_prodset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPlan:
     """Dominating shape first, then one feature paragraph per listed
     attribute in importance order, each with its superset comparison."""
-    config.validate()
     if profile.dominating_shape is None:
         raise PlanningError("missing profile fragment: dominating shape")
     if profile.importance is None:

@@ -371,7 +371,6 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
     """
     if warnings is None:
         warnings = []
-    config.validate()
     records = list(citing.references)
     if not records:
         raise EmptySetError("the reference list is empty")

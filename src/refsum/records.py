@@ -267,7 +267,8 @@ def _names_from_json(value, rid: str, warnings: list[str],
                      memo: dict[str | tuple[str, str], tuple[PersonName, ...]]
                      ) -> tuple[PersonName, ...]:
     """One author item: a name string, split on ``and`` with a warning when it
-    holds several, or an object with ``family``; else warn and drop it.
+    holds several, or an object with a non-empty string ``family`` and a
+    string, null or missing ``given``; else warn and drop it.
 
     ``memo`` maps each string item, and each object's ``(family, given)``,
     already seen in this load to its names: equal items share one parse and
@@ -281,8 +282,9 @@ def _names_from_json(value, rid: str, warnings: list[str],
             warnings.append(f"{rid}: author item {value!r} holds {len(names)} names, split")
         if names:
             return names
-    elif isinstance(value, dict) and value.get("family"):
-        pair = (str(value["family"]), str(value.get("given", "")))
+    elif (isinstance(value, dict) and isinstance(family := value.get("family"), str)
+          and family and isinstance(given := value.get("given"), str | None)):
+        pair = (family, given or "")
         names = memo.get(pair)
         if names is None:
             names = memo[pair] = (PersonName(*pair),)
@@ -331,7 +333,8 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
             warnings.append(f"{rid}: unknown venue type {venue_type!r} mapped to 'other'")
             venue_type = "other"
         count = obj.get("citation_count")
-        if count is not None and (not isinstance(count, int) or count < 0):
+        if count is not None and (isinstance(count, bool) or not isinstance(count, int)
+                                  or count < 0):
             warnings.append(f"{rid}: invalid citation count {count!r}, dropped")
             count = None
         records.append(ReferenceRecord(

@@ -330,9 +330,13 @@ def test_every_line_start_entry_is_returned_or_named_in_an_issue(text):
 
 
 @pytest.mark.parametrize("text,keys,message", [
-    ('@misc{k, title="a\n@article{b, title={x}}\n"}\n', ["b"], "unbalanced braces in entry 'k'"),
-    ('@string{t="\n@misc{k}"', ["k"], "unbalanced braces in @string 't'"),
+    ('@misc{k, title="a\n@article{b, title={x}}\n"}\n', ["b"],
+     "unterminated quoted value in entry 'k'"),
+    ('@string{t="\n@misc{k}"', ["k"], "unterminated quoted value in @string 't'"),
     ('@misc{k, title="{a\n@b{c}}"}', ["k"], None),   # inside a brace group: part of the value
+    ('@misc{k, title="abc', [], "unterminated quoted value in entry 'k'"),
+    # Any brace in the value before where it stops keeps the brace message.
+    ('@misc{k, title="{a} b\n@misc{m}', ["m"], "unbalanced braces in entry 'k'"),
 ])
 def test_quoted_value_stops_at_a_line_start_block(text, keys, message):
     entries, issues = scan_bibtex(text)

@@ -101,6 +101,12 @@ def test_config_error_exit_two(capsys, data_dir):
     assert "configuration error" in err
 
 
+def test_author_list_size_zero_exit_two(capsys, data_dir):
+    code, out, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"), "--k", "0")
+    assert code == 2 and out == ""
+    assert err.endswith("refsum: configuration error: author list size must be at least 1\n")
+
+
 def test_planning_error_exit_three(capsys, data_dir):
     # prodset without any citation counts cannot report the dominating shape
     code, _, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
 from refsum import (AuthorList, CategoricalQuant, CitingPaper, CombinedYearSelfCite,
-                    DominatingShape, FeatureWithComparison, GroupTopList,
+                    ConfigError, DominatingShape, FeatureWithComparison, GroupTopList,
                     IntroWithLeadAttribute, PlanningError, ReferenceRecord,
                     build_prodset_plan, build_refset_plan, build_profile,
                     default_prodset_config, default_refset_config, plan_to_text)
+from refsum.config import AttributeSpec
 
 
 @pytest.fixture
@@ -19,6 +21,23 @@ def refset_profile(fixture20_paper):
 @pytest.fixture
 def prodset_profile(fixture20_paper):
     return build_profile(fixture20_paper, default_prodset_config())
+
+
+_DOMAIN = AttributeSpec("domain", "categorical")
+
+
+@pytest.mark.parametrize("make, overrides, message", [
+    (default_refset_config, {"algorithm": "tree"}, "unknown algorithm 'tree'"),
+    (default_refset_config, {"author_k": 0}, "author list size must be at least 1"),
+    (default_refset_config, {"author_score_mode": "mean"}, "unknown author score mode 'mean'"),
+    (default_prodset_config, {"attributes": (_DOMAIN, _DOMAIN)},
+     "attribute 'domain' configured twice"),
+    (default_refset_config, {"attributes": (_DOMAIN,)}, "refset needs exactly one lead attribute"),
+    (default_prodset_config, {"dominating": ""}, "prodset needs a dominating attribute"),
+])
+def test_invalid_summary_config_is_refused_when_built(make, overrides, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        make(**overrides)
 
 
 def test_refset_default_plan_structure(refset_profile):

@@ -13,12 +13,14 @@ from refsum import (AuthorList, CategoricalQuant, CitingPaper, CombinedYearSelfC
                     aggregate_list, build_plan, build_profile, build_refset_plan,
                     default_prodset_config, default_refset_config, format_number,
                     format_percentage, format_year, load_template_pack,
-                    quantifier_sentence, realize)
+                    price_pack, quantifier_sentence, realize)
+from refsum.config import AttributeSpec
 from refsum.profile import (AuthorScore, CategoricalDistribution, ComparisonResult,
                             ContinuousSummary, DistributionEntry, GroupTop,
                             GroupTopEntry)
 from refsum.names import PersonName
 from refsum.templates import PRICE_PACK_TEXT, default_pack
+from test_profile import TEN
 
 GOLDEN_VENUE = ("Most references (55%) are from proceedings. "
                 "A large proportion is from journals (30%). "
@@ -146,7 +148,6 @@ def tv_records():
 
 
 def test_prodset_tv_fixture_realises_paper_style_comparison():
-    from refsum.config import AttributeSpec
     config = default_prodset_config(
         attributes=(AttributeSpec("connectivity", "categorical", "listed"),),
         dominating="price")
@@ -161,6 +162,27 @@ def test_prodset_tv_fixture_realises_paper_style_comparison():
     assert "TVs with a Smart-Internet feature are generally slightly more expensive" in text
     assert text.startswith("The price of the 10 TVs ranges from £300 to £550, "
                            "with a median of £450.")
+
+
+def test_price_pack_renders_the_ten_product_set_end_to_end():
+    config = default_prodset_config(
+        attributes=tuple(AttributeSpec(a, "categorical", "listed")
+                         for a in ("brand", "size", "color")),
+        dominating="price")
+    profile = build_profile(CitingPaper(references=tuple(TEN)), config)
+    assert realize(build_plan(profile, config), price_pack()).full_text == (
+        "The price of the 10 products ranges from £100 to £440, with a median of £155."
+        "\n\n"
+        "A large proportion of products (40%) have large. A large proportion have medium "
+        "(30%). A large proportion have small (30%). Products with large are generally "
+        "much more expensive (£425 vs £155)."
+        "\n\n"
+        "A large proportion of products (40%) have acme. A large proportion have bolt (30%). "
+        "A large proportion have cape (30%). Products with acme are generally much less "
+        "expensive (£130 vs £155)."
+        "\n\n"
+        "Most products (50%) have blue. Most have red (50%). Products with blue are "
+        "generally slightly less expensive (£150 vs £155).")
 
 
 # -- degradation variants ----------------------------------------------------------

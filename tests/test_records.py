@@ -207,6 +207,35 @@ def test_author_items_that_are_not_names_are_dropped_with_a_warning():
                         "r1: author '' is not a name, dropped"]
 
 
+def test_author_object_with_null_or_missing_given_has_an_empty_given_name():
+    warnings: list[str] = []
+    line = json.dumps({"id": "r1", "authors": [{"family": "Doe", "given": None},
+                                               {"family": "Roe"}]})
+    [record] = load_record_lines(line, warnings)
+    assert [(a.family, a.given) for a in record.authors] == [("Doe", ""), ("Roe", "")]
+    assert warnings == []
+
+
+@pytest.mark.parametrize("item", [
+    {"family": 7}, {"family": ""}, {"family": ["Doe"]},
+    {"family": "Doe", "given": 3}, {"family": "Doe", "given": ["Jane"]},
+    {"family": "Doe", "given": {"first": "Jane"}}, {"family": "Doe", "given": False},
+])
+def test_author_object_with_a_mistyped_name_part_is_dropped_with_a_warning(item):
+    warnings: list[str] = []
+    [record] = load_record_lines(json.dumps({"id": "r1", "authors": [item, "Ann Poe"]}), warnings)
+    assert [a.family for a in record.authors] == ["Poe"]
+    assert warnings == [f"r1: author {item!r} is not a name, dropped"]
+
+
+@pytest.mark.parametrize("count", [True, False, -1, 2.5, "12"])
+def test_citation_count_that_is_not_a_non_negative_integer_is_dropped(count):
+    warnings: list[str] = []
+    [record] = load_record_lines(json.dumps({"id": "r1", "citation_count": count}), warnings)
+    assert record.citation_count is None
+    assert warnings == [f"r1: invalid citation count {count!r}, dropped"]
+
+
 def test_author_item_holding_several_names_is_split_with_a_warning():
     warnings: list[str] = []
     line = json.dumps({"id": "r1", "authors": ["Jane Doe and John Roe", "Ann Poe"]})
