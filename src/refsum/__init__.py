@@ -8,9 +8,8 @@ by the `cli` module.
 from .bibtex import ParseIssue, RawEntry, parse_bibtex, scan_bibtex, serialize_entries
 from .config import (AttributeSpec, ComparisonBands, QuantifierThresholds,
                      SummaryConfig, default_prodset_config, default_refset_config)
-from .enrich import (CitationProvider, CountCache, EnrichmentReport, NullProvider,
-                     ScholarLookupProvider, StaticCountProvider,
-                     enrich_citation_counts)
+from .enrich import (CitationProvider, CountCache, EnrichmentReport,
+                     ScholarLookupProvider, StaticCountProvider, enrich_citation_counts)
 from .errors import (BibParseError, ConfigError, EmptySetError, InputError,
                      PlanningError, ProviderError, RealizationError, RefsumError,
                      StatsError, TemplateError)
@@ -20,7 +19,7 @@ from .plan import (AuthorList, CategoricalQuant, CombinedYearSelfCite, Continuou
                    IntroWithLeadAttribute, Message, Paragraph, build_plan,
                    build_prodset_plan, build_refset_plan, plan_to_text)
 from .profile import (AuthorScore, CategoricalDistribution, ComparisonResult,
-                      ContinuousSummary, DistributionEntry, FeatureImportance,
+                      ContinuousSummary, DistributionEntry,
                       GroupTop, GroupTopEntry, Quantifier, SetProfile,
                       build_profile, categorical_distribution, continuous_summary,
                       feature_importance, profile_to_text, quantifier_for,
@@ -29,7 +28,7 @@ from .profile import (AuthorScore, CategoricalDistribution, ComparisonResult,
 from .realize import (RealizedSummary, aggregate_list, format_number,
                       format_percentage, format_year, quantifier_sentence, realize)
 from .records import (CitingPaper, ReferenceRecord, TaxonomyRule, VenueTaxonomy,
-                      de_latex, derive_self_citations, detect_self_citation,
+                      de_latex, derive_self_citations,
                       load_record_lines, load_taxonomy, load_taxonomy_file,
                       to_reference_record)
 from .templates import (TemplatePack, default_pack, load_template_pack,

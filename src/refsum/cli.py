@@ -59,7 +59,6 @@ class RunConfig:
     unit: str | None = None
     noun: str | None = None
     show_counts: bool | None = None
-    paper_title: str = ""
     paper_authors: str = ""
     quantifier_most: float = QuantifierThresholds.most
     quantifier_large: float = QuantifierThresholds.large
@@ -193,8 +192,7 @@ def _assemble(run: RunConfig, warnings: list[str]) -> CitingPaper:
     if citing_authors:
         records = derive_self_citations(records, citing_authors)
     records = _enrich(records, run, warnings)
-    return CitingPaper(title=run.paper_title, authors=citing_authors,
-                       references=tuple(records))
+    return CitingPaper(authors=citing_authors, references=tuple(records))
 
 
 def _summary_config(run: RunConfig) -> SummaryConfig:
@@ -294,8 +292,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"citation cache directory (or ${CACHE_DIR_ENV})")
     parser.add_argument("--workers", type=int, default=None,
                         help=f"max concurrent provider lookups (default {RunConfig.workers})")
-    parser.add_argument("--paper-title", dest="paper_title", default=None,
-                        help="title of the citing paper")
     parser.add_argument("--paper-authors", dest="paper_authors", default=None,
                         help="authors of the citing paper, 'A and B' form "
                              "(enables self-citation detection)")

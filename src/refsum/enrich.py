@@ -53,15 +53,6 @@ class CitationProvider(Protocol):
         ...
 
 
-class NullProvider:
-    """Offline mode: every lookup is a miss."""
-
-    blocking = False
-
-    def resolve(self, title: str, family: str, year: int | None) -> int | None:
-        return None
-
-
 class StaticCountProvider:
     """Counts from an in-memory or JSON-file mapping of title -> count."""
 

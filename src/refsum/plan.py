@@ -168,7 +168,7 @@ def build_prodset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPl
         raise PlanningError("missing profile fragment: feature importance")
     paragraphs = [Paragraph("shape", (DominatingShape(
         profile.total, profile.dominating_shape),))]
-    for attribute, _score in profile.importance.ranking:
+    for attribute, _score in profile.importance:
         dist = _require_distribution(profile, attribute)
         if not _informative(dist):
             continue

@@ -105,11 +105,6 @@ class ComparisonResult:
 
 
 @dataclass(frozen=True)
-class FeatureImportance:
-    ranking: tuple[tuple[str, float], ...]
-
-
-@dataclass(frozen=True)
 class SetProfile:
     """Every statistic of one set; the per-attribute fragments are keyed by
     attribute name, in configuration order."""
@@ -120,7 +115,7 @@ class SetProfile:
     dominating_shape: ContinuousSummary | None = None
     group_tops: dict[str, GroupTop] = field(default_factory=dict)
     top_authors: tuple[AuthorScore, ...] = ()
-    importance: FeatureImportance | None = None
+    importance: tuple[tuple[str, float], ...] | None = None
     comparisons: dict[str, ComparisonResult] = field(default_factory=dict)
     self_citation_share: float | None = None
 
@@ -289,13 +284,13 @@ def top_authors(records: Sequence[Any], k: int = SummaryConfig.author_k, *,
 
 
 def feature_importance(records: Sequence[Any], dominating_attribute: str,
-                       candidate_attributes: Sequence[str],
-                       *, min_category_size: int = 2) -> FeatureImportance:
-    """Rank candidate attributes by how far they spread the dominating column.
+                       candidate_attributes: Sequence[str]) -> tuple[tuple[str, float], ...]:
+    """Rank candidate attributes by how far they spread the dominating column,
+    as ``(attribute, score)`` pairs, highest score first.
 
     Score = (spread of per-category medians) / (overall range), computed over
-    categories holding at least ``min_category_size`` records with a present
-    dominating value; 0 when the overall range collapses.
+    categories holding at least two records with a present dominating value;
+    0 when the overall range collapses.
     """
     dominating = [_number(v) for v in _column(records, dominating_attribute)]
     overall = [v for v in dominating if v is not None]
@@ -310,14 +305,14 @@ def feature_importance(records: Sequence[Any], dominating_attribute: str,
             if value is not None:
                 groups.setdefault(_category(category), []).append(value)
         medians = [_median(vals) for vals in groups.values()
-                   if len(vals) >= min_category_size]
+                   if len(vals) >= 2]
         if denominator > 0 and medians:
             score = (max(medians) - min(medians)) / denominator
         else:
             score = 0.0
         ranking.append((attribute, score))
     ranking.sort(key=lambda pair: (-pair[1], pair[0]))
-    return FeatureImportance(ranking=tuple(ranking))
+    return tuple(ranking)
 
 
 def subset_vs_superset(subset_records: Sequence[Any], superset_records: Sequence[Any],
@@ -470,7 +465,7 @@ def profile_to_text(profile: SetProfile) -> str:
         lines.append(f"author\t{a.author.normalized_key}\t{a.author.display()}"
                      f"\tscore={a.score}\tpapers={a.paper_count}\tcounted={a.counted_papers}")
     if profile.importance is not None:
-        for attribute, score in profile.importance.ranking:
+        for attribute, score in profile.importance:
             lines.append(f"importance\t{attribute}\t{score!r}")
     for c in profile.comparisons.values():
         lines.append(f"comparison\t{c.attribute}\t{c.feature_value}"

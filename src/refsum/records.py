@@ -112,7 +112,6 @@ class ReferenceRecord:
 class CitingPaper:
     """The paper whose reference list is being summarised."""
 
-    title: str = ""
     authors: tuple[PersonName, ...] = ()
     references: tuple[ReferenceRecord, ...] = ()
 
@@ -248,16 +247,12 @@ def to_reference_record(entry, taxonomy: VenueTaxonomy | None = None,
     )
 
 
-def detect_self_citation(reference: ReferenceRecord,
-                         citing_authors: list[PersonName] | tuple[PersonName, ...]) -> bool:
-    """True iff the reference shares an author with the citing paper."""
-    citing_keys = {a.normalized_key for a in citing_authors}
-    return any(a.normalized_key in citing_keys for a in reference.authors)
-
-
 def derive_self_citations(records: list[ReferenceRecord],
                           citing_authors: tuple[PersonName, ...]) -> list[ReferenceRecord]:
-    return [replace(r, self_citation=detect_self_citation(r, citing_authors))
+    """Each record flagged as a self-citation iff it shares an author with
+    the citing paper."""
+    citing_keys = {a.normalized_key for a in citing_authors}
+    return [replace(r, self_citation=any(a.normalized_key in citing_keys for a in r.authors))
             for r in records]
 
 

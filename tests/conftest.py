@@ -12,7 +12,6 @@ from refsum import (CitingPaper, StaticCountProvider, enrich_citation_counts,
 DATA_DIR = Path(__file__).parent / "data"
 
 CITING_AUTHORS = "Alice Novak and Robert Chen"
-CITING_TITLE = "Adaptive Retrieval for Scholarly Search"
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +42,5 @@ def fixture20_offline():
 
 @pytest.fixture(scope="session")
 def fixture20_paper(fixture20_records):
-    return CitingPaper(title=CITING_TITLE,
-                       authors=tuple(parse_person_names(CITING_AUTHORS)),
+    return CitingPaper(authors=tuple(parse_person_names(CITING_AUTHORS)),
                        references=tuple(fixture20_records))

@@ -8,8 +8,7 @@ from refsum.cli import main
 
 FIXTURE_ARGS = ["--taxonomy", "tests/data/fixture.tax",
                 "--provider", "mock", "--counts", "tests/data/fixture20_counts.json",
-                "--paper-authors", "Alice Novak and Robert Chen",
-                "--paper-title", "Adaptive Retrieval for Scholarly Search"]
+                "--paper-authors", "Alice Novak and Robert Chen"]
 
 
 def _run(capsys, *argv):

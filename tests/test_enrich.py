@@ -11,7 +11,7 @@ import pytest
 import requests
 from hypothesis import given, settings, strategies as st
 
-from refsum import (CountCache, NullProvider, ProviderError, ReferenceRecord,
+from refsum import (CountCache, ProviderError, ReferenceRecord,
                     ScholarLookupProvider, StaticCountProvider,
                     enrich_citation_counts, parse_person_names)
 from refsum.enrich import _norm, lookup_key
@@ -72,7 +72,7 @@ def test_cache_hit_skips_provider(tmp_path):
 
 
 def test_not_found_leaves_count_absent():
-    records, report = enrich_citation_counts([_record("a", "T")], NullProvider())
+    records, report = enrich_citation_counts([_record("a", "T")], StaticCountProvider({}))
     assert records[0].citation_count is None
     assert report.not_found == 1
 

@@ -110,7 +110,7 @@ def test_prodset_plan_shape_first_then_importance_order(prodset_profile):
     assert plan.algorithm == "prodset"
     assert plan.paragraphs[0].label == "shape"
     assert isinstance(plan.paragraphs[0].messages[0], DominatingShape)
-    ranked = [name for name, _ in prodset_profile.importance.ranking]
+    ranked = [name for name, _ in prodset_profile.importance]
     assert [p.label for p in plan.paragraphs[1:]] == ranked
     for paragraph in plan.paragraphs[1:]:
         message = paragraph.messages[0]

@@ -272,31 +272,31 @@ TEN = [
 def test_importance_zero_spread():
     flat = [{"price": 10, "kind": k} for k in ("a", "a", "b", "b")] + \
            [{"price": 20, "kind": k} for k in ("a", "b")]
-    ranking = dict(feature_importance(flat, "price", ["kind"]).ranking)
+    ranking = dict(feature_importance(flat, "price", ["kind"]))
     assert ranking["kind"] == 0.0
 
 
 def test_importance_perfect_separation_scores_one():
     records = [{"price": 10, "flag": "lo"}] * 3 + [{"price": 50, "flag": "hi"}] * 3
-    ranking = dict(feature_importance(records, "price", ["flag"]).ranking)
+    ranking = dict(feature_importance(records, "price", ["flag"]))
     assert ranking["flag"] == 1.0
 
 
 def test_importance_ten_record_fixture_matches_oracle():
     # frozen from independent re-computation of the spread/range formula
     result = feature_importance(TEN, "price", ["brand", "size", "color"])
-    assert [name for name, _ in result.ranking] == ["size", "brand", "color"]
-    scores = dict(result.ranking)
+    assert [name for name, _ in result] == ["size", "brand", "color"]
+    scores = dict(result)
     assert scores["size"] == pytest.approx(315 / 340, abs=1e-12)
     assert scores["brand"] == pytest.approx(300 / 340, abs=1e-12)
     assert scores["color"] == pytest.approx(250 / 340, abs=1e-12)
     brute = brute_importance(TEN, "price", ["brand", "size", "color"])
-    for name, score in result.ranking:
+    for name, score in result:
         assert score == pytest.approx(brute[name], abs=1e-12)
 
 
 def test_importance_no_candidates():
-    assert feature_importance(TEN, "price", []).ranking == ()
+    assert feature_importance(TEN, "price", []) == ()
 
 
 def test_importance_needs_two_dominating_values():

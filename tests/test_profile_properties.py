@@ -95,7 +95,7 @@ def test_importance_equals_oracle(records):
         return
     result = feature_importance(records, "citation_count", ["venue_type", "domain"])
     brute = brute_importance(records, "citation_count", ["venue_type", "domain"])
-    for name, score in result.ranking:
+    for name, score in result:
         assert abs(score - brute[name]) < 1e-9
 
 
@@ -155,13 +155,13 @@ def test_ordinal_outputs_scale_invariant(rows):
     base = [{"id": str(i), "price": price, "brand": brand, "color": color}
             for i, (price, brand, color) in enumerate(rows)]
     base_importance = [n for n, _ in
-                       feature_importance(base, "price", ["brand", "color"]).ranking]
+                       feature_importance(base, "price", ["brand", "color"])]
     top = base[:max(1, len(base) // 2)]
     base_cmp = subset_vs_superset(top, base, "price")
     for c in (0.5, 3, 1000):
         scaled = [dict(r, price=r["price"] * c) for r in base]
         ranking = [n for n, _ in
-                   feature_importance(scaled, "price", ["brand", "color"]).ranking]
+                   feature_importance(scaled, "price", ["brand", "color"])]
         assert ranking == base_importance
         comparison = subset_vs_superset(scaled[:max(1, len(base) // 2)], scaled, "price")
         assert (comparison.direction, comparison.magnitude) == \

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refsum import (ConfigError, PersonName, RawEntry, ReferenceRecord,
-                    de_latex, detect_self_citation, load_record_lines, load_taxonomy,
+                    de_latex, derive_self_citations, load_record_lines, load_taxonomy,
                     parse_person_names, to_reference_record)
 
 
@@ -140,32 +140,37 @@ def _record(authors):
     return ReferenceRecord(id="r", authors=tuple(parse_person_names(authors)))
 
 
+def _flag(reference, citing):
+    return derive_self_citations([reference], tuple(citing))[0].self_citation
+
+
 def test_self_citation_by_shared_author():
     citing = parse_person_names("John Smith and Ada Doe")
-    assert detect_self_citation(_record("Ada Doe and Kim Lee"), citing) is True
-    assert detect_self_citation(_record("Kim Lee"), citing) is False
+    flagged = derive_self_citations([_record("Ada Doe and Kim Lee"), _record("Kim Lee")],
+                                    tuple(citing))
+    assert [r.self_citation for r in flagged] == [True, False]
 
 
 def test_self_citation_across_name_variants():
     citing = parse_person_names("John Smith")
-    assert detect_self_citation(_record("J. Smith"), citing) is True
+    assert _flag(_record("J. Smith"), citing) is True
 
 
 def test_self_citation_empty_citing_list_is_false():
-    assert detect_self_citation(_record("Kim Lee"), []) is False
+    assert _flag(_record("Kim Lee"), []) is False
 
 
 def test_self_citation_permutation_invariant():
     rng = random.Random(7)
     citing = parse_person_names("John Smith and Ada Doe and Kim Lee")
     reference = _record("Pat Moss and Ada Doe")
-    expected = detect_self_citation(reference, citing)
+    expected = _flag(reference, citing)
     for _ in range(20):
         shuffled_citing = citing[:]
         rng.shuffle(shuffled_citing)
         shuffled_ref = ReferenceRecord(
             id="r", authors=tuple(rng.sample(reference.authors, len(reference.authors))))
-        assert detect_self_citation(shuffled_ref, shuffled_citing) == expected
+        assert _flag(shuffled_ref, shuffled_citing) == expected
 
 
 # -- record files ------------------------------------------------------------------
