@@ -240,8 +240,10 @@ class _Scanner:
         self.pos += 1
         value = self._read_value(f"@string '{name}'", None, close_ch)
         self._skip_ws()
-        if self._peek() == close_ch:
-            self.pos += 1
+        if self._peek() != close_ch:
+            raise _Fault(f"expected '{close_ch}' after @string '{name}'", self.pos,
+                         self._rest(close_ch))
+        self.pos += 1
         self.macros[name] = value
 
     def _read_entry(self, kind: str, at: int) -> None:

@@ -166,7 +166,7 @@ def _build_provider(run: RunConfig):
             return StaticCountProvider.from_file(run.counts)
         except OSError as exc:
             raise ConfigError(f"cannot read counts file {run.counts}: {exc}")
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"counts file {run.counts} is not a title->count map: {exc}")
     kwargs = {"base_url": run.endpoint} if run.endpoint else {}
     return ScholarLookupProvider(**kwargs)

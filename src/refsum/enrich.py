@@ -63,8 +63,17 @@ class StaticCountProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> StaticCountProvider:
+        """Read a JSON object that maps each title to a non-negative int.
+
+        Anything else raises ``ValueError``; no value is coerced.
+        """
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls({str(k): int(v) for k, v in data.items()})
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, not {type(data).__name__}")
+        for title, count in data.items():
+            if type(count) is not int or count < 0:
+                raise ValueError(f"count {count!r} for {title!r} is not a non-negative integer")
+        return cls(data)
 
     def resolve(self, title: str, family: str, year: int | None) -> int | None:
         return self._counts.get(_norm(title))

@@ -315,7 +315,7 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
             raise RecordFileError(f"line {lineno}: not a valid record object ({exc.msg})")
         if not isinstance(obj, dict):
             raise RecordFileError(f"line {lineno}: expected an object")
-        rid = str(obj.get("id") or f"r{lineno}")
+        rid = _typed(obj, "id", str, None, f"r{lineno}", warnings) or f"r{lineno}"
         names = _typed(obj, "authors", list, (), rid, warnings)
         authors = tuple(n for item in names for n in _names_from_json(item, rid, warnings, memo))
         year = obj.get("year")
@@ -323,7 +323,7 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
             if not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:
                 warnings.append(f"{rid}: year {year!r} out of range, dropped")
                 year = None
-        venue_type = obj.get("venue_type") or "other"
+        venue_type = _typed(obj, "venue_type", str, None, rid, warnings) or "other"
         if venue_type not in VENUE_TYPES:
             warnings.append(f"{rid}: unknown venue type {venue_type!r} mapped to 'other'")
             venue_type = "other"

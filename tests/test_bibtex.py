@@ -201,11 +201,24 @@ def test_unbalanced_comment_costs_only_the_comment():
     ("@misc{k, title={a}, title={b}} @misc{m}",
      ("warning", "duplicate field 'title' in entry 'k' overwrites the earlier value", 20, "k"),
      ["k", "m"]),
+    ("@string{x = {v} junk} @misc{m}",
+     ("error", "expected '}' after @string 'x'", 16, None), ["m"]),
+    ("@string{x = {v}, y = {w}} @misc{m}",
+     ("error", "expected '}' after @string 'x'", 15, None), ["m"]),
+    ("@misc{m}\n@string{x = {v}", ("error", "expected '}' after @string 'x'", 24, None), ["m"]),
 ])
 def test_each_fault_is_reported_once_and_the_scan_resumes_after_it(text, issue, keys):
     entries, issues = scan_bibtex(text)
     assert [(i.severity, i.message, i.offset, i.cite_key) for i in issues] == [issue]
     assert [e.cite_key for e in entries] == keys
+
+
+@pytest.mark.parametrize("text", [
+    "@string{x = {v} junk}", "@string{x = {v}, y = {w}}", "@string{x = {v}"])
+def test_a_string_that_does_not_close_after_its_value_defines_nothing(text):
+    entries, issues = scan_bibtex(text + "\n@misc{n, a=x}")
+    assert [e.fields["a"] for e in entries] == ["x"]
+    assert [i.severity for i in issues] == ["error", "warning"]
 
 
 @pytest.mark.parametrize("block", [

@@ -86,6 +86,19 @@ def test_unreadable_path_exit_one(capsys, tmp_path):
     assert str(missing) in err
 
 
+@pytest.mark.parametrize("flags, code, message", [
+    (["--config"], 2, "configuration error: cannot read config file"),
+    (["--provider", "mock", "--counts"], 2, "configuration error: cannot read counts file"),
+    (["--taxonomy"], 1, "cannot read taxonomy"),
+])
+def test_unreadable_file_named_by_a_flag_is_refused(capsys, data_dir, tmp_path,
+                                                    flags, code, message):
+    missing = tmp_path / "missing"
+    result = _run(capsys, "summarize", str(data_dir / "fixture20.bib"), *flags, str(missing))
+    assert result[:2] == (code, "")
+    assert result[2].startswith(f"refsum: {message} {missing}: ")
+
+
 def test_empty_reference_list_exit_one(capsys, tmp_path):
     empty = tmp_path / "empty.bib"
     empty.write_text("% nothing here\n")
@@ -212,6 +225,39 @@ def test_config_file_wrong_value_type_exit_two(capsys, data_dir, tmp_path):
     assert "configuration error" in err and "'workers' must be int, not str" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ("{not json", "is not valid JSON"),
+    ("[]", "must hold a JSON object"),
+    ('{"emit": "x"}', "unknown emit mode 'x'"),
+])
+def test_malformed_config_file_exit_two(capsys, data_dir, tmp_path, content, message):
+    config = tmp_path / "run.json"
+    config.write_text(content)
+    code, out, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
+                          "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith("refsum: configuration error: ") and message in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("{not json", "Expecting property name"),
+    ("[]", "expected a JSON object, not list"),
+    ('{"Alpha": -5}', "count -5 for 'Alpha' is not a non-negative integer"),
+    ('{"Alpha": true}', "count True for 'Alpha' is not a non-negative integer"),
+    ('{"Alpha": 3.7}', "count 3.7 for 'Alpha' is not a non-negative integer"),
+    ('{"Alpha": "12"}', "count '12' for 'Alpha' is not a non-negative integer"),
+])
+def test_counts_file_that_is_not_a_title_count_map_exit_two(capsys, data_dir, tmp_path,
+                                                             content, message):
+    counts = tmp_path / "counts.json"
+    counts.write_text(content)
+    code, out, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
+                          "--provider", "mock", "--counts", str(counts))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"refsum: configuration error: counts file {counts} "
+                          "is not a title->count map: ") and message in err
+
+
 def test_missing_template_pack_exit_two(capsys, data_dir, tmp_path):
     missing = tmp_path / "nonexistent.pack"
     code, out, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
@@ -226,6 +272,19 @@ def test_cache_dir_env_override(capsys, data_dir, tmp_path, monkeypatch):
                       *FIXTURE_ARGS)
     assert code == 0
     assert (tmp_path / "citations.tsv").exists()
+
+
+def test_summarize_reads_the_cache_without_a_provider(capsys, data_dir, tmp_path):
+    written = (data_dir / "cache_v1" / "citations.tsv").read_bytes()
+    (tmp_path / "citations.tsv").write_bytes(written)
+    code, out, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
+                          "--taxonomy", str(data_dir / "fixture.tax"),
+                          "--paper-authors", "Alice Novak and Robert Chen",
+                          "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == (data_dir / "golden" / "refset_full.txt").read_text()
+    assert "16 from cache, 0 from provider, 4 not found" in err
+    assert (tmp_path / "citations.tsv").read_bytes() == written
 
 
 def test_enrich_warms_cache_only(capsys, data_dir, tmp_path):
@@ -259,9 +318,14 @@ def test_enrich_answers_from_a_cache_an_earlier_release_wrote(capsys, data_dir, 
     assert (tmp_path / "citations.tsv").read_bytes() == written
 
 
-def test_enrich_requires_provider_and_cache(capsys, data_dir):
+def test_enrich_requires_provider_and_cache(capsys, data_dir, monkeypatch):
     code, _, _ = _run(capsys, "enrich", str(data_dir / "fixture20.bib"))
     assert code == 2
+    monkeypatch.delenv("REFSUM_CACHE_DIR", raising=False)
+    code, _, err = _run(capsys, "enrich", str(data_dir / "fixture20.bib"), "--provider", "mock",
+                        "--counts", str(data_dir / "fixture20_counts.json"))
+    assert code == 2
+    assert "enrich needs --cache-dir" in err
 
 
 def test_no_counts_flag_hides_numbers(capsys, data_dir):
@@ -294,7 +358,9 @@ def test_emit_profile_prodset(capsys, data_dir):
 
 def test_malformed_jsonl_exit_one(capsys, tmp_path):
     path = tmp_path / "refs.jsonl"
-    path.write_text('{"id": "a", "title": "A"}\nnot json at all\n')
-    code, _, err = _run(capsys, "summarize", str(path), "--provider", "off")
-    assert code == 1
-    assert "line 2" in err
+    for line, problem in (("not json at all", "not a valid record object"),
+                          ('["a", "A"]', "expected an object")):
+        path.write_text('{"id": "a", "title": "A"}\n' + line + "\n")
+        code, _, err = _run(capsys, "summarize", str(path), "--provider", "off")
+        assert code == 1
+        assert f"line 2: {problem}" in err

@@ -58,6 +58,16 @@ def test_static_provider_fills_counts_and_cache(tmp_path):
     assert cache.get(lookup_key("T", "Smith", 2014)) == 17
 
 
+@pytest.mark.parametrize("content", [
+    '{"A": -5}', '{"A": 3.7}', '{"A": true}', '{"A": "12"}', '{"A": null}', "[]", "{",
+])
+def test_counts_file_holding_anything_but_non_negative_ints_is_refused(tmp_path, content):
+    path = tmp_path / "counts.json"
+    path.write_text(content)
+    with pytest.raises(ValueError):
+        StaticCountProvider.from_file(path)
+
+
 def test_cache_hit_skips_provider(tmp_path):
     cache = CountCache(tmp_path)
     cache.put(lookup_key("T", "Smith", 2014), 120)
@@ -108,6 +118,7 @@ def test_provider_failure_is_soft():
     assert records[0].citation_count is None
     assert records[1].citation_count == 3
     assert report.failures == [("a", "boom")]
+    assert report.summary().endswith(", 1 from provider, 0 not found, 1 failed")
 
 
 def test_concurrent_lookups_preserve_input_order():

@@ -71,6 +71,19 @@ def test_keyword_match_not_substring():
     assert taxonomy.classify("The Oracle Handbook") == (None, None, None)
 
 
+def test_taxonomy_skips_blank_and_comment_lines():
+    assert load_taxonomy("# venue rules\n  # indented\n\n" + TAX) == load_taxonomy(TAX)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("acl\tproceedings\nloner\n", "taxonomy line 2: expected tab-separated columns"),
+    ("\tjournal\n", "taxonomy line 1: empty pattern"),
+])
+def test_taxonomy_rejects_a_malformed_line(text, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_taxonomy(text)
+
+
 def test_taxonomy_rejects_bad_venue_type():
     with pytest.raises(ConfigError):
         load_taxonomy("pat\tmagazine\t-\t-\n")
@@ -182,6 +195,11 @@ def test_self_citation_permutation_invariant():
     ("domain", ["a", "b"], None, "str"),
     ("subdomain", {"x": 1}, None, "str"),
     ("self_citation", "no", None, "bool"),
+    ("venue_type", [], "other", "str"),
+    ("venue_type", False, "other", "str"),
+    ("id", ["x"], "r1", "str"),   # the id falls back to the line number
+    ("id", True, "r1", "str"),
+    ("id", 0, "r1", "str"),
 ])
 def test_record_field_of_the_wrong_type_is_dropped_with_a_warning(field, value, absent, kind):
     warnings: list[str] = []
@@ -200,6 +218,8 @@ def test_record_fields_of_the_right_type_load_without_warnings():
     assert (record.title, record.venue_name, record.domain, record.subdomain,
             record.self_citation) == ("T", "V", None, "s", False)
     assert [a.family for a in record.authors] == ["Doe", "Roe"]
+    [record] = load_record_lines(json.dumps({"id": None, "venue_type": None}), warnings)
+    assert (record.id, record.venue_type, warnings) == ("r1", "other", [])
 
 
 def test_author_items_that_are_not_names_are_dropped_with_a_warning():
