@@ -333,12 +333,17 @@ def scan_bibtex(text: str) -> tuple[list[RawEntry], list[ParseIssue]]:
     return _Scanner(text).scan()
 
 
-def parse_bibtex(text: str) -> list[RawEntry]:
-    """Strict parse: raises :class:`BibParseError` on the first error."""
-    entries, issues = scan_bibtex(text)
+def raise_first_error(issues: list[ParseIssue]) -> None:
+    """Raise the first error among ``issues`` as a :class:`BibParseError`."""
     for issue in issues:
         if issue.severity == "error":
             raise BibParseError(str(issue), offset=issue.offset, cite_key=issue.cite_key)
+
+
+def parse_bibtex(text: str) -> list[RawEntry]:
+    """Strict parse: raises :class:`BibParseError` on the first error."""
+    entries, issues = scan_bibtex(text)
+    raise_first_error(issues)
     return entries
 
 

@@ -21,13 +21,13 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .bibtex import scan_bibtex
+from .bibtex import raise_first_error, scan_bibtex
 from .config import (ALGORITHMS, LOOKUP_WORKERS, ComparisonBands, QuantifierThresholds,
                      SummaryConfig, default_prodset_config, default_refset_config)
 from .enrich import (CountCache, ScholarLookupProvider, StaticCountProvider,
                      enrich_citation_counts)
-from .errors import (BibParseError, ConfigError, InputError, PlanningError,
-                     RealizationError, RefsumError)
+from .errors import (ConfigError, InputError, PlanningError, RealizationError,
+                     RefsumError, TemplateError)
 from .names import parse_person_names
 from .plan import build_plan, plan_to_text
 from .profile import build_profile, profile_to_text
@@ -147,9 +147,8 @@ def _load_records(run: RunConfig, warnings: list[str]):
     errors = [i for i in issues if i.severity == "error"]
     for issue in issues:
         warnings.append(f"{run.input_path}: {issue}")
-    if run.strict and errors:
-        first = errors[0]
-        raise BibParseError(str(first), offset=first.offset, cite_key=first.cite_key)
+    if run.strict:
+        raise_first_error(issues)
     if not entries:
         raise InputError(f"{run.input_path}: no usable entries"
                          + (f" ({len(errors)} errors)" if errors else ""))
@@ -214,6 +213,8 @@ def _load_pack(run: RunConfig) -> TemplatePack:
         pack = load_template_pack_file(run.templates) if run.templates else default_pack()
     except OSError as exc:
         raise ConfigError(f"cannot read template pack {run.templates}: {exc}")
+    except TemplateError as exc:
+        raise ConfigError(f"template pack {run.templates}: {exc}")
     return pack.with_settings(
         unit=run.unit or None, noun=run.noun or None,
         show_counts="yes" if run.show_counts is None or run.show_counts else "no")

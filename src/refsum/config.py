@@ -18,9 +18,16 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 
-ALGORITHMS = ("refset", "prodset")
-ATTRIBUTE_KINDS = ("categorical", "continuous", "flag")
-ATTRIBUTE_ROLES = ("lead", "listed", "grouping", "combined")
+# What each algorithm renders: attribute kind -> the roles it may take. A
+# flag renders only as self_citation, and at most one continuous attribute
+# is combined with it.
+RENDERED_ROLES = {
+    "refset": {"categorical": ("lead", "listed", "grouping"),
+               "continuous": ("listed", "grouping", "combined"),
+               "flag": ("combined",)},
+    "prodset": {"categorical": ("listed",)},
+}
+ALGORITHMS = tuple(RENDERED_ROLES)
 SCORE_MODES = ("sum", "max")
 LOOKUP_WORKERS = 4  # concurrent citation-count lookups
 
@@ -30,12 +37,6 @@ class AttributeSpec:
     name: str
     kind: str
     role: str = "listed"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ATTRIBUTE_KINDS:
-            raise ConfigError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
-        if self.role not in ATTRIBUTE_ROLES:
-            raise ConfigError(f"attribute {self.name!r}: unknown role {self.role!r}")
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,19 @@ class SummaryConfig:
             raise ConfigError("author list size must be at least 1")
         if self.author_score_mode not in SCORE_MODES:
             raise ConfigError(f"unknown author score mode {self.author_score_mode!r}")
-        seen = set()
-        for spec in self.attributes:
-            if spec.name in seen:
+        for i, spec in enumerate(self.attributes):
+            if spec.name in (s.name for s in self.attributes[:i]):
                 raise ConfigError(f"attribute {spec.name!r} configured twice")
-            seen.add(spec.name)
+            if spec.role not in RENDERED_ROLES[self.algorithm].get(spec.kind, ()):
+                raise ConfigError(f"attribute {spec.name!r}: {self.algorithm} cannot render "
+                                  f"a {spec.kind} attribute as {spec.role}")
+            if spec.kind == "flag" and spec.name != "self_citation":
+                raise ConfigError(f"attribute {spec.name!r}: refset renders no flag "
+                                  "but self_citation")
+        years = [s.name for s in self.continuous() if s.role == "combined"]
+        if len(years) > 1:
+            raise ConfigError(f"attribute {years[1]!r}: refset renders at most one "
+                              "continuous attribute as combined")
         leads = [s for s in self.attributes if s.role == "lead"]
         if self.algorithm == "refset" and len(leads) != 1:
             raise ConfigError("refset needs exactly one lead attribute")

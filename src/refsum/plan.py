@@ -1,7 +1,7 @@
 """Document planning: fixed schemata turn a profile into ordered messages.
 
-A plan is wording-free. Each paragraph holds typed messages, one frozen
-dataclass per message kind, whose fields are profile fragments; the
+A plan is wording-free. Each paragraph holds one typed message, a frozen
+dataclass per message kind whose fields are profile fragments; the
 realiser decides the sentences. The refset schema opens with the total
 fused with the lead attribute and closes with the author list; the prodset
 schema opens with the dominating column's shape and then walks the listed
@@ -91,7 +91,7 @@ Message = Union[IntroWithLeadAttribute, CategoricalQuant, ContinuousRange,
 @dataclass(frozen=True)
 class Paragraph:
     label: str
-    messages: tuple[Message, ...]
+    message: Message
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ def build_refset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPla
     lead = config.lead()
     if lead is None:
         raise PlanningError("missing profile fragment: lead attribute")
-    paragraphs = [Paragraph("intro", (IntroWithLeadAttribute(
-        profile.total, _require_distribution(profile, lead.name)),))]
+    paragraphs = [Paragraph("intro", IntroWithLeadAttribute(
+        profile.total, _require_distribution(profile, lead.name)))]
 
     combined_done = False
     for spec in config.attributes:
@@ -129,19 +129,19 @@ def build_refset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPla
             dist = _require_distribution(profile, spec.name)
             if not _informative(dist):
                 continue
-            paragraphs.append(Paragraph(spec.name, (CategoricalQuant(dist),)))
+            paragraphs.append(Paragraph(spec.name, CategoricalQuant(dist)))
         elif spec.role == "listed" and spec.kind == "continuous":
             summary = profile.continuous.get(spec.name)
             if summary is None:
                 continue
-            paragraphs.append(Paragraph(spec.name, (ContinuousRange(summary),)))
+            paragraphs.append(Paragraph(spec.name, ContinuousRange(summary)))
         elif spec.role == "grouping":
             top = profile.group_tops.get(spec.name)
             if top is None:
                 raise PlanningError(f"missing profile fragment: group top '{spec.name}'")
             if not top.entries:
                 continue
-            paragraphs.append(Paragraph(spec.name, (GroupTopList(top),)))
+            paragraphs.append(Paragraph(spec.name, GroupTopList(top)))
         elif spec.role == "combined" and not combined_done:
             combined_done = True
             year_spec = next((s for s in config.attributes
@@ -150,12 +150,12 @@ def build_refset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPla
             share = profile.self_citation_share
             if summary is None and share is None:
                 continue
-            paragraphs.append(Paragraph("years", (CombinedYearSelfCite(summary, share),)))
+            paragraphs.append(Paragraph("years", CombinedYearSelfCite(summary, share)))
 
     if profile.top_authors:
-        paragraphs.append(Paragraph("authors", (AuthorList(
+        paragraphs.append(Paragraph("authors", AuthorList(
             profile.top_authors,
-            any(a.counted_papers > 0 for a in profile.top_authors)),)))
+            any(a.counted_papers > 0 for a in profile.top_authors))))
     return DocumentPlan(algorithm="refset", paragraphs=tuple(paragraphs))
 
 
@@ -166,14 +166,14 @@ def build_prodset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPl
         raise PlanningError("missing profile fragment: dominating shape")
     if profile.importance is None:
         raise PlanningError("missing profile fragment: feature importance")
-    paragraphs = [Paragraph("shape", (DominatingShape(
-        profile.total, profile.dominating_shape),))]
+    paragraphs = [Paragraph("shape", DominatingShape(
+        profile.total, profile.dominating_shape))]
     for attribute, _score in profile.importance:
         dist = _require_distribution(profile, attribute)
         if not _informative(dist):
             continue
-        paragraphs.append(Paragraph(attribute, (FeatureWithComparison(
-            dist, profile.comparisons.get(attribute)),)))
+        paragraphs.append(Paragraph(attribute, FeatureWithComparison(
+            dist, profile.comparisons.get(attribute))))
     return DocumentPlan(algorithm="prodset", paragraphs=tuple(paragraphs))
 
 
@@ -207,10 +207,8 @@ def plan_to_text(plan: DocumentPlan) -> str:
     message prints its class name, then its fields in declaration order."""
     lines = [f"plan\t{plan.algorithm}"]
     for paragraph in plan.paragraphs:
-        lines.append(f"paragraph\t{paragraph.label}")
-        for message in paragraph.messages:
-            detail = [type(message).__name__]
-            for f in fields(message):
-                detail += _field_text(f.name, getattr(message, f.name))
-            lines.append("message\t" + "\t".join(detail))
+        detail = [type(paragraph.message).__name__]
+        for f in fields(paragraph.message):
+            detail += _field_text(f.name, getattr(paragraph.message, f.name))
+        lines += [f"paragraph\t{paragraph.label}", "message\t" + "\t".join(detail)]
     return "\n".join(lines)

@@ -77,7 +77,6 @@ class GroupTopEntry:
     top_reference: str
     top_count: int | None
     top_title: str = ""
-    top_year: int | None = None
 
 
 @dataclass(frozen=True)
@@ -232,16 +231,14 @@ def top_reference_per_group(records: Sequence[Any], group_attribute: str,
     entries = []
     for value, members in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
         top = min(members, key=rank)
-        count, year = counts[top], years[top]
         share = len(members) / total
         entries.append(GroupTopEntry(
             group_value=value,
             share=share,
             bucket=quantifier_for(share, thresholds),
             top_reference=ids[top],
-            top_count=int(count) if count is not None else None,
+            top_count=int(counts[top]) if counts[top] is not None else None,
             top_title=titles[top],
-            top_year=int(year) if year is not None else None,
         ))
     return GroupTop(group_attribute=group_attribute, entries=tuple(entries))
 
@@ -381,10 +378,7 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
             warnings.append(f"profile: {exc}")
 
     share = None
-    for spec in config.flags():
-        if spec.name != "self_citation":
-            warnings.append(f"profile: flag attribute {spec.name!r} is not supported")
-            continue
+    if config.flags():  # the one flag a config may hold is self_citation
         if any(v is not None for v in _column(records, "self_citation")):
             share = self_citation_share(records)
         else:

@@ -195,13 +195,9 @@ def realize(plan: DocumentPlan, pack: TemplatePack | None = None) -> RealizedSum
     pack = pack or default_pack()
     paragraphs = []
     for paragraph in plan.paragraphs:
-        pieces = []
-        for message in paragraph.messages:
-            renderer = _RENDERERS.get(type(message))
-            if renderer is None:
-                raise RealizationError(
-                    f"no renderer for message kind {type(message).__name__}")
-            pieces.append(renderer(pack, message))
-        text = " ".join(p for p in pieces if p)
+        kind = type(paragraph.message)
+        if kind not in _RENDERERS:
+            raise RealizationError(f"no renderer for message kind {kind.__name__}")
+        text = _RENDERERS[kind](pack, paragraph.message)
         paragraphs.append("\n".join(line.rstrip() for line in text.splitlines()).strip())
     return RealizedSummary(paragraphs=tuple(paragraphs))

@@ -20,36 +20,23 @@ from pathlib import Path
 from .errors import RealizationError, TemplateError
 
 _SLOT_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+_FLAGS = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
 
 
 @dataclass(frozen=True)
 class TemplatePack:
     templates: dict[str, str]
     lexicon: dict[str, dict[str, str]]
-    settings: dict[str, str]
-
-    @property
-    def noun(self) -> str:
-        return self.settings.get("noun", "items")
-
-    @property
-    def unit(self) -> str:
-        return self.settings.get("unit", "")
-
-    @property
-    def show_counts(self) -> bool:
-        return self.settings.get("show_counts", "yes").lower() not in ("no", "false", "0")
-
-    def template(self, *candidates: str) -> str:
-        for key in candidates:
-            if key in self.templates:
-                return self.templates[key]
-        raise TemplateError(f"no template for any of: {', '.join(candidates)}")
+    noun: str = "items"
+    unit: str = ""
+    show_counts: bool = True
 
     def render(self, *keys: str, **slots: str) -> str:
         """Fill the first of ``keys`` the pack defines from ``slots`` and the
         pack's ``noun``, ``Noun`` and ``unit``; errors name the last key."""
-        template = self.template(*keys)
+        template = next((self.templates[key] for key in keys if key in self.templates), None)
+        if template is None:
+            raise TemplateError(f"no template for any of: {', '.join(keys)}")
         slots = {"noun": self.noun, "Noun": self.noun[:1].upper() + self.noun[1:],
                  "unit": self.unit, **slots}
 
@@ -69,10 +56,20 @@ class TemplatePack:
             return shared[token]
         return token.replace("-", " ").replace("_", " ")
 
-    def with_settings(self, **overrides: str) -> TemplatePack:
-        merged = dict(self.settings)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        return replace(self, settings=merged)
+    def with_settings(self, **values: str | None) -> TemplatePack:
+        """A copy with the given pack-file ``[settings]`` values; None keeps one."""
+        changes: dict[str, str | bool] = {}
+        for key, value in values.items():
+            if key not in ("noun", "unit", "show_counts"):
+                raise TemplateError(f"[settings]: unknown key {key!r}")
+            if value is not None and key == "show_counts":
+                if value.lower() not in _FLAGS:
+                    raise TemplateError(f"[settings]: show_counts must be yes, no, true, "
+                                        f"false, 1 or 0, not {value!r}")
+                changes[key] = _FLAGS[value.lower()]
+            elif value is not None:
+                changes[key] = value
+        return replace(self, **changes)
 
 
 def load_template_pack(text: str) -> TemplatePack:
@@ -113,7 +110,7 @@ def load_template_pack(text: str) -> TemplatePack:
         else:
             body.append(line)
     close_section()
-    return TemplatePack(templates=templates, lexicon=lexicon, settings=settings)
+    return TemplatePack(templates=templates, lexicon=lexicon).with_settings(**settings)
 
 
 def load_template_pack_file(path: str | Path) -> TemplatePack:

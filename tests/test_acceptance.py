@@ -79,10 +79,10 @@ def test_criterion_3_refset_structure(fixture20_paper):
     assert config.author_k == 7
     plan = build_refset_plan(build_profile(fixture20_paper, config), config)
     first, last = plan.paragraphs[0], plan.paragraphs[-1]
-    assert isinstance(first.messages[0], IntroWithLeadAttribute)
-    assert first.messages[0].distribution.attribute == "venue_type"
-    assert isinstance(last.messages[0], AuthorList)
-    assert len(last.messages[0].authors) == 7
+    assert isinstance(first.message, IntroWithLeadAttribute)
+    assert first.message.distribution.attribute == "venue_type"
+    assert isinstance(last.message, AuthorList)
+    assert len(last.message.authors) == 7
     _ok(3, "intro+venue first, 7-author list last, k defaults to 7")
 
 

@@ -255,12 +255,23 @@ def test_counts_file_that_is_not_a_title_count_map_exit_two(capsys, data_dir, tm
                           "is not a title->count map: ") and message in err
 
 
-def test_missing_template_pack_exit_two(capsys, data_dir, tmp_path):
-    missing = tmp_path / "nonexistent.pack"
-    code, out, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
-                          "--templates", str(missing))
+@pytest.mark.parametrize("command", ["summarize", "compare"])
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read template pack {}: "),
+    ("junk\n[intro.lead]\nx\n", "template pack {}: content before the first section "
+                                "header: 'junk'\n"),
+], ids=["missing", "malformed"])
+def test_missing_template_pack_exit_two(capsys, data_dir, tmp_path, command, text, message):
+    """A pack that cannot be read or parsed is a configuration error,
+    reported once, even under compare."""
+    pack = tmp_path / "nonexistent.pack"
+    if text is not None:
+        pack.write_text(text)
+    code, out, err = _run(capsys, command, str(data_dir / "fixture20.bib"),
+                          "--templates", str(pack))
     assert code == 2 and out == ""
-    assert "configuration error" in err and "cannot read template pack" in err
+    assert err.startswith("refsum: configuration error: " + message.format(pack))
+    assert err.count("configuration error") == 1
 
 
 def test_cache_dir_env_override(capsys, data_dir, tmp_path, monkeypatch):

@@ -24,6 +24,12 @@ def prodset_profile(fixture20_paper):
 
 
 _DOMAIN = AttributeSpec("domain", "categorical")
+_LEAD = AttributeSpec("venue_type", "categorical", "lead")
+_YEAR = AttributeSpec("year", "continuous", "combined")
+
+
+def _refset(*specs):
+    return {"attributes": (_LEAD, *specs)}
 
 
 @pytest.mark.parametrize("make, overrides, message", [
@@ -34,6 +40,35 @@ _DOMAIN = AttributeSpec("domain", "categorical")
      "attribute 'domain' configured twice"),
     (default_refset_config, {"attributes": (_DOMAIN,)}, "refset needs exactly one lead attribute"),
     (default_prodset_config, {"dominating": ""}, "prodset needs a dominating attribute"),
+    # what each algorithm renders
+    (default_refset_config, _refset(AttributeSpec("domain", "categorical", "combined")),
+     "attribute 'domain': refset cannot render a categorical attribute as combined"),
+    (default_refset_config, _refset(AttributeSpec("self_citation", "flag", "listed")),
+     "attribute 'self_citation': refset cannot render a flag attribute as listed"),
+    (default_refset_config, _refset(AttributeSpec("self_citation", "flag", "grouping")),
+     "attribute 'self_citation': refset cannot render a flag attribute as grouping"),
+    (default_refset_config, _refset(AttributeSpec("open_access", "flag", "combined")),
+     "attribute 'open_access': refset renders no flag but self_citation"),
+    (default_refset_config, _refset(_YEAR, AttributeSpec("pages", "continuous", "combined")),
+     "attribute 'pages': refset renders at most one continuous attribute as combined"),
+    (default_refset_config, {"attributes": (AttributeSpec("year", "continuous", "lead"),)},
+     "attribute 'year': refset cannot render a continuous attribute as lead"),
+    (default_refset_config, {"attributes": (AttributeSpec("self_citation", "flag", "lead"),)},
+     "attribute 'self_citation': refset cannot render a flag attribute as lead"),
+    (default_refset_config, _refset(AttributeSpec("domain", "label")),
+     "attribute 'domain': refset cannot render a label attribute as listed"),
+    (default_refset_config, _refset(AttributeSpec("domain", "categorical", "footnote")),
+     "attribute 'domain': refset cannot render a categorical attribute as footnote"),
+    (default_prodset_config, {"attributes": (AttributeSpec("year", "continuous"),)},
+     "attribute 'year': prodset cannot render a continuous attribute as listed"),
+    (default_prodset_config, {"attributes": (AttributeSpec("self_citation", "flag"),)},
+     "attribute 'self_citation': prodset cannot render a flag attribute as listed"),
+    (default_prodset_config, {"attributes": (_LEAD,)},
+     "attribute 'venue_type': prodset cannot render a categorical attribute as lead"),
+    (default_prodset_config, {"attributes": (AttributeSpec("domain", "categorical", "grouping"),)},
+     "attribute 'domain': prodset cannot render a categorical attribute as grouping"),
+    (default_prodset_config, {"attributes": (AttributeSpec("year", "continuous", "combined"),)},
+     "attribute 'year': prodset cannot render a continuous attribute as combined"),
 ])
 def test_invalid_summary_config_is_refused_when_built(make, overrides, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -45,11 +80,11 @@ def test_refset_default_plan_structure(refset_profile):
     assert plan.algorithm == "refset"
     assert [p.label for p in plan.paragraphs] == \
         ["intro", "domain", "subdomain", "years", "authors"]
-    kinds = [type(p.messages[0]) for p in plan.paragraphs]
+    kinds = [type(p.message) for p in plan.paragraphs]
     assert kinds == [IntroWithLeadAttribute, CategoricalQuant, GroupTopList,
                      CombinedYearSelfCite, AuthorList]
-    assert plan.paragraphs[0].messages[0].total == 20
-    assert len(plan.paragraphs[-1].messages[0].authors) == 7
+    assert plan.paragraphs[0].message.total == 20
+    assert len(plan.paragraphs[-1].message.authors) == 7
 
 
 def test_refset_plan_is_pure(refset_profile):
@@ -69,13 +104,24 @@ def test_refset_skips_subdomains_when_all_absent(fixture20_paper):
     assert labels[0] == "intro" and labels[-1] == "authors"
 
 
+def test_refset_skips_years_when_neither_years_nor_flags_are_known(fixture20_paper):
+    stripped = tuple(dataclasses.replace(r, year=None, self_citation=None)
+                     for r in fixture20_paper.references)
+    warnings: list[str] = []
+    profile = build_profile(CitingPaper(references=stripped), default_refset_config(), warnings)
+    plan = build_refset_plan(profile, default_refset_config())
+    assert [p.label for p in plan.paragraphs] == ["intro", "domain", "subdomain", "authors"]
+    assert warnings == ["profile: attribute fully absent: year",
+                        "profile: self-citation flags never derived"]
+
+
 def test_refset_zero_selfcitation_share_still_planned(fixture20_paper):
     cleared = tuple(dataclasses.replace(r, self_citation=False)
                     for r in fixture20_paper.references)
     profile = build_profile(CitingPaper(references=cleared), default_refset_config())
     plan = build_refset_plan(profile, default_refset_config())
     years = next(p for p in plan.paragraphs if p.label == "years")
-    assert years.messages[0].share == 0.0
+    assert years.message.share == 0.0
 
 
 def test_refset_missing_fragment_names_it(refset_profile):
@@ -87,7 +133,7 @@ def test_refset_missing_fragment_names_it(refset_profile):
 
 def test_refset_never_plans_dominating_shape(refset_profile):
     plan = build_refset_plan(refset_profile, default_refset_config())
-    kinds = {type(m) for p in plan.paragraphs for m in p.messages}
+    kinds = {type(p.message) for p in plan.paragraphs}
     assert DominatingShape not in kinds
 
 
@@ -109,11 +155,11 @@ def test_prodset_plan_shape_first_then_importance_order(prodset_profile):
     plan = build_prodset_plan(prodset_profile, default_prodset_config())
     assert plan.algorithm == "prodset"
     assert plan.paragraphs[0].label == "shape"
-    assert isinstance(plan.paragraphs[0].messages[0], DominatingShape)
+    assert isinstance(plan.paragraphs[0].message, DominatingShape)
     ranked = [name for name, _ in prodset_profile.importance]
     assert [p.label for p in plan.paragraphs[1:]] == ranked
     for paragraph in plan.paragraphs[1:]:
-        message = paragraph.messages[0]
+        message = paragraph.message
         assert isinstance(message, FeatureWithComparison)
         assert message.distribution.attribute == paragraph.label
 
@@ -138,17 +184,16 @@ def test_every_configured_attribute_in_exactly_one_message(refset_profile):
     config = default_refset_config()
     plan = build_refset_plan(refset_profile, config)
     seen: list[str] = []
-    for paragraph in plan.paragraphs:
-        for message in paragraph.messages:
-            if isinstance(message, IntroWithLeadAttribute):
-                seen.append(message.distribution.attribute)
-            elif isinstance(message, CategoricalQuant):
-                seen.append(message.distribution.attribute)
-            elif isinstance(message, GroupTopList):
-                seen.append(message.group_top.group_attribute)
-            elif isinstance(message, CombinedYearSelfCite):
-                seen.append(message.summary.attribute)
-                seen.append("self_citation")
+    for message in (paragraph.message for paragraph in plan.paragraphs):
+        if isinstance(message, IntroWithLeadAttribute):
+            seen.append(message.distribution.attribute)
+        elif isinstance(message, CategoricalQuant):
+            seen.append(message.distribution.attribute)
+        elif isinstance(message, GroupTopList):
+            seen.append(message.group_top.group_attribute)
+        elif isinstance(message, CombinedYearSelfCite):
+            seen.append(message.summary.attribute)
+            seen.append("self_citation")
     assert sorted(seen) == sorted(s.name for s in config.attributes)
 
 

@@ -77,6 +77,13 @@ def test_distribution_counts_absent_as_unknown():
     assert {e.value for e in dist.entries} == {"x", "unknown"}
 
 
+def test_distribution_of_a_boolean_attribute_reads_true_and_false():
+    records = [{"flag": True}, {"flag": False}, {"flag": True}, {}]
+    dist = categorical_distribution(records, "flag")
+    assert [(e.value, e.count) for e in dist.entries] == [
+        ("true", 2), ("false", 1), ("unknown", 1)]
+
+
 def test_distribution_empty_set():
     with pytest.raises(EmptySetError):
         categorical_distribution([], "venue_type")

@@ -111,15 +111,21 @@ def test_quantifier_sentence_bad_position():
 # -- golden sentence block ---------------------------------------------------------
 
 def test_golden_venue_paragraph_character_for_character():
-    plan = DocumentPlan("refset", (Paragraph("venue_type", (
-        CategoricalQuant(_venue_dist()),)),))
+    plan = DocumentPlan("refset", (Paragraph("venue_type", CategoricalQuant(_venue_dist())),))
     assert realize(plan).paragraphs[0] == GOLDEN_VENUE
 
 
 def test_intro_fuses_total_with_venue_sentences():
-    plan = DocumentPlan("refset", (Paragraph("intro", (
-        IntroWithLeadAttribute(total=20, distribution=_venue_dist()),)),))
+    plan = DocumentPlan("refset", (Paragraph("intro", IntroWithLeadAttribute(
+        total=20, distribution=_venue_dist())),))
     assert realize(plan).paragraphs[0] == f"This paper cites 20 references. {GOLDEN_VENUE}"
+
+
+def test_a_message_with_no_renderer_is_an_error_naming_its_kind():
+    plan = DocumentPlan("refset", (Paragraph("v", _venue_dist()),))
+    with pytest.raises(RealizationError,
+                       match="no renderer for message kind CategoricalDistribution"):
+        realize(plan)
 
 
 def test_empty_plan_renders_empty_summary():
@@ -195,24 +201,24 @@ def test_author_list_counted_and_uncounted_variants():
     counted = AuthorList(
         authors=(_author("Ann", "Ash", 30, 2, 2), _author("Ben", "Birch", 1, 1, 1)),
         has_counts=True)
-    text = realize(DocumentPlan("refset", (Paragraph("authors", (counted,)),))).full_text
+    text = realize(DocumentPlan("refset", (Paragraph("authors", counted),))).full_text
     assert text == ("The 2 authors with the highest citation counts are "
                     "Ann Ash (30 citations) and Ben Birch (1 citation).")
 
     uncounted = AuthorList(authors=(_author("Ann", "Ash", 0, 2, 0),), has_counts=False)
-    text = realize(DocumentPlan("refset", (Paragraph("authors", (uncounted,)),))).full_text
+    text = realize(DocumentPlan("refset", (Paragraph("authors", uncounted),))).full_text
     assert text == "The most frequently listed author is Ann Ash."
 
 
 def test_group_top_variants():
     def entry(count):
         return GroupTopEntry("alpha", 0.5, Quantifier.MOST, "r1", count,
-                             top_title="Find Me", top_year=2001)
+                             top_title="Find Me")
 
     def render(count, show_counts=True):
         message = GroupTopList(GroupTop("subdomain", (entry(count),)))
         pack = default_pack().with_settings(show_counts="yes" if show_counts else "no")
-        return realize(DocumentPlan("refset", (Paragraph("g", (message,)),)), pack).full_text
+        return realize(DocumentPlan("refset", (Paragraph("g", message),)), pack).full_text
 
     assert 'The most cited is "Find Me" (7 citations).' in render(7)
     assert 'The most cited is "Find Me" (1 citation).' in render(1)
@@ -223,7 +229,7 @@ def test_group_top_variants():
 def test_year_selfcite_variants():
     def render(summary, share):
         message = CombinedYearSelfCite(summary=summary, share=share)
-        return realize(DocumentPlan("refset", (Paragraph("years", (message,)),))).full_text
+        return realize(DocumentPlan("refset", (Paragraph("years", message),))).full_text
 
     span = ContinuousSummary("year", 1998, 2015, 2011.5, 20)
     assert render(span, 0.15) == ("The references were published between 1998 and 2015, "
@@ -239,7 +245,7 @@ def test_year_selfcite_variants():
 def test_shape_single_value_variant():
     message = DominatingShape(
         total=4, summary=ContinuousSummary("citation_count", 10, 10, 10, 4))
-    text = realize(DocumentPlan("prodset", (Paragraph("shape", (message,)),))).full_text
+    text = realize(DocumentPlan("prodset", (Paragraph("shape", message),))).full_text
     assert text == "All 4 references share the same citation count of 10."
 
 
@@ -247,7 +253,7 @@ def test_shape_single_value_variant():
 
 def test_missing_template_is_an_error_naming_the_kind():
     pack = load_template_pack("[settings]\nnoun = things\n")
-    plan = DocumentPlan("refset", (Paragraph("v", (CategoricalQuant(_venue_dist()),)),))
+    plan = DocumentPlan("refset", (Paragraph("v", CategoricalQuant(_venue_dist())),))
     with pytest.raises(TemplateError, match="quant.most.first"):
         realize(plan, pack)
 
@@ -255,8 +261,8 @@ def test_missing_template_is_an_error_naming_the_kind():
 def test_unresolved_placeholder_is_an_error_naming_the_slot():
     pack = load_template_pack(
         "[settings]\nnoun = refs\n[quant.most.first]\nMost {nonsense} here.\n")
-    plan = DocumentPlan("refset", (Paragraph("v", (CategoricalQuant(CategoricalDistribution(
-        "venue_type", (DistributionEntry("a", 1, 1.0, Quantifier.MOST),), 1)),)),))
+    plan = DocumentPlan("refset", (Paragraph("v", CategoricalQuant(CategoricalDistribution(
+        "venue_type", (DistributionEntry("a", 1, 1.0, Quantifier.MOST),), 1))),))
     with pytest.raises(RealizationError, match="nonsense"):
         realize(plan, pack)
 
@@ -274,23 +280,46 @@ def test_every_template_may_use_the_shared_noun_and_unit_slots():
         distribution=CategoricalDistribution("venue_type", (
             DistributionEntry("journal", 2, 1.0, Quantifier.MOST),), 2),
         comparison=ComparisonResult("venue_type", "journal", 5, 5, "same", "same"))
-    plan = DocumentPlan("prodset", (Paragraph("a", (authors,)), Paragraph("f", (feature,))))
+    plan = DocumentPlan("prodset", (Paragraph("a", authors), Paragraph("f", feature)))
     assert realize(plan, pack).paragraphs == (
         "Top: Ann Ash (widgets).", "Mostly journal. Widgets like those from journal cost $5.")
 
     broken = load_template_pack(PRICE_PACK_TEXT.replace("{Noun} with {value}", "{nonsense}"))
     with pytest.raises(RealizationError,
                        match="subject.default: unresolved placeholder 'nonsense'"):
-        realize(DocumentPlan("prodset", (Paragraph("f", (feature,)),)), broken)
+        realize(DocumentPlan("prodset", (Paragraph("f", feature),)), broken)
 
 
-def test_pack_loader_rejects_malformed_input():
-    with pytest.raises(TemplateError):
-        load_template_pack("stray line before any section")
-    with pytest.raises(TemplateError):
-        load_template_pack("[lexicon.x]\nno equals sign here\n")
-    with pytest.raises(TemplateError):
-        load_template_pack("[empty.section]\n[next.section]\nbody\n")
+@pytest.mark.parametrize("text, message", [
+    ("stray line before any section",
+     "content before the first section header: 'stray line before any section'"),
+    ("[lexicon.x]\nno equals sign here\n", "[lexicon.x]: expected 'token = display' lines"),
+    ("[empty.section]\n[next.section]\nbody\n", "[empty.section]: empty template body"),
+    ("[]\nbody\n", "empty section header"),
+    ("[settings]\nshow_count = no\n", "[settings]: unknown key 'show_count'"),
+    ("[settings]\nshow_counts = nope\n",
+     "[settings]: show_counts must be yes, no, true, false, 1 or 0, not 'nope'"),
+], ids=["stray-line", "lexicon-line", "empty-body", "empty-header", "unknown-setting",
+        "bad-show-counts"])
+def test_pack_loader_rejects_malformed_input(text, message):
+    with pytest.raises(TemplateError) as info:
+        load_template_pack(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("yes", True), ("True", True), ("1", True), ("NO", False), ("false", False), ("0", False),
+])
+def test_show_counts_setting_reads_yes_no_words(value, shown):
+    assert load_template_pack(f"[settings]\nshow_counts = {value}\n").show_counts is shown
+    assert default_pack().with_settings(show_counts=value).show_counts is shown
+
+
+def test_pack_settings_default_and_none_keeps_the_current_value():
+    bare = load_template_pack("[range]\n{min} to {max}\n")
+    assert (bare.noun, bare.unit, bare.show_counts) == ("items", "", True)
+    pack = default_pack().with_settings(noun=None, unit="$", show_counts=None)
+    assert (pack.noun, pack.unit, pack.show_counts) == ("references", "$", True)
 
 
 def test_pack_lexeme_fallback_chain():
@@ -324,18 +353,18 @@ def test_default_pack_covers_every_plannable_message(fixture20_paper):
         profile = build_profile(paper, config)
         plan = build_plan(profile, config)
         realize(plan)  # must not raise
-        seen |= {type(m) for p in plan.paragraphs for m in p.messages}
+        seen |= {type(p.message) for p in plan.paragraphs}
     # the two kinds the default schemas do not emit still need templates
     extra = DocumentPlan("refset", (
-        Paragraph("r", (ContinuousRange(
-            ContinuousSummary("pages", 1.0, 30.5, 12.25, 5)),)),
-        Paragraph("c", (FeatureWithComparison(
+        Paragraph("r", ContinuousRange(
+            ContinuousSummary("pages", 1.0, 30.5, 12.25, 5))),
+        Paragraph("c", FeatureWithComparison(
             distribution=_venue_dist(),
             comparison=ComparisonResult("venue_type", "proceedings",
-                                        50, 50, "same", "same")),)),
+                                        50, 50, "same", "same"))),
     ))
     realize(extra)
-    seen |= {type(m) for p in extra.paragraphs for m in p.messages}
+    seen |= {type(p.message) for p in extra.paragraphs}
     assert seen == set(get_args(Message))
 
 
@@ -354,28 +383,27 @@ def test_every_output_number_comes_from_the_plan(fixture20_paper):
     config = default_refset_config()
     plan = build_plan(build_profile(fixture20_paper, config), config)
     allowed: set[str] = set()
-    for paragraph in plan.paragraphs:
-        for message in paragraph.messages:
-            if hasattr(message, "total"):
-                allowed.add(str(message.total))
-            if getattr(message, "distribution", None) is not None:
-                for e in message.distribution.entries:
-                    allowed.add(format_percentage(e.proportion).rstrip("%"))
-            if getattr(message, "summary", None) is not None:
-                s = message.summary
-                allowed |= {str(int(s.minimum)), str(int(s.maximum)),
-                            format_year(s.median), format_number(s.median)}
-            if getattr(message, "share", None) is not None:
-                allowed.add(format_percentage(message.share).rstrip("%"))
-            if getattr(message, "group_top", None) is not None:
-                for e in message.group_top.entries:
-                    allowed.add(format_percentage(e.share).rstrip("%"))
-                    if e.top_count is not None:
-                        allowed.add(str(e.top_count))
-                    allowed |= set(re.findall(r"\d+", e.top_title))
-            if hasattr(message, "authors"):
-                allowed.add(str(len(message.authors)))
-                for a in message.authors:
-                    allowed.add(str(a.score))
+    for message in (paragraph.message for paragraph in plan.paragraphs):
+        if hasattr(message, "total"):
+            allowed.add(str(message.total))
+        if getattr(message, "distribution", None) is not None:
+            for e in message.distribution.entries:
+                allowed.add(format_percentage(e.proportion).rstrip("%"))
+        if getattr(message, "summary", None) is not None:
+            s = message.summary
+            allowed |= {str(int(s.minimum)), str(int(s.maximum)),
+                        format_year(s.median), format_number(s.median)}
+        if getattr(message, "share", None) is not None:
+            allowed.add(format_percentage(message.share).rstrip("%"))
+        if getattr(message, "group_top", None) is not None:
+            for e in message.group_top.entries:
+                allowed.add(format_percentage(e.share).rstrip("%"))
+                if e.top_count is not None:
+                    allowed.add(str(e.top_count))
+                allowed |= set(re.findall(r"\d+", e.top_title))
+        if hasattr(message, "authors"):
+            allowed.add(str(len(message.authors)))
+            for a in message.authors:
+                allowed.add(str(a.score))
     text = realize(plan).full_text
     assert set(re.findall(r"\d+", text)) <= allowed

@@ -208,6 +208,14 @@ def test_record_field_of_the_wrong_type_is_dropped_with_a_warning(field, value, 
     assert warnings == [f"r1: {field} {value!r} is not a {kind}, dropped"]
 
 
+@pytest.mark.parametrize("venue_type", ["x", "Journal", "magazine"])
+def test_record_venue_type_outside_the_four_types_maps_to_other(venue_type):
+    warnings: list[str] = []
+    [record] = load_record_lines(json.dumps({"id": "r1", "venue_type": venue_type}), warnings)
+    assert record.venue_type == "other"
+    assert warnings == [f"r1: unknown venue type {venue_type!r} mapped to 'other'"]
+
+
 def test_record_fields_of_the_right_type_load_without_warnings():
     warnings: list[str] = []
     line = json.dumps({"id": "r1", "title": "T", "authors": ["Jane Doe", {"family": "Roe"}],
