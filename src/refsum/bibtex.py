@@ -16,6 +16,12 @@ value or block ends, and where the scan resumes after a broken one, are then
 lookups, so a value that never closes does not rescan the rest of the file.
 A ``(``-delimited block ends at its first ``)`` outside brace groups.
 
+Each field of an entry starts with one match of ``_FIELD_HEAD``: the field
+name with the whitespace before it, and the ``=`` with the whitespace around
+it. Where that pattern does not match, the entry either closes there
+or breaks there; a step-by-step read after the field loop tells which, and
+raises the fault with its message and offset.
+
 A syntax error that ends a block is raised once, as ``_Fault``, by the site
 that finds it; that site also says where scanning resumes. ``_Scanner.scan``
 is the one place that records such an error and resumes. The two warnings
@@ -37,6 +43,8 @@ _KIND = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 # end of its line cannot read the next line's '@article' as a key or a field.
 _CITE_KEY = re.compile(r"[^\s,{}()@][^\s,{}()]*")
 _FIELD_NAME = re.compile(r"[^\s=,{}()\"#@][^\s=,{}()\"#]*")
+# A field name with its '=' and the whitespace around both, in one match.
+_FIELD_HEAD = re.compile(r"\s*(" + _FIELD_NAME.pattern + r")\s*=\s*")
 _MACRO_NAME = re.compile(r"[^\s,#{}()\"@][^\s,#{}()\"]*")
 _NUMBER = re.compile(r"[0-9]+")
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
@@ -158,36 +166,37 @@ class _Scanner:
 
     def _read_value(self, where: str, cite_key: str | None, close_ch: str) -> str:
         """One value, ``#`` concatenations included, of the field or macro
-        that ``where`` names (``entry 'k'`` or ``@string 'n'``)."""
+        that ``where`` names (``entry 'k'`` or ``@string 'n'``). Starts at the
+        value's first character and leaves ``pos`` past the whitespace after
+        it. Runs once per value, so it reads ``text`` directly rather than
+        through ``_peek`` and ``_skip_ws``."""
+        text = self.text
         parts: list[str] = []
         while True:
-            self._skip_ws()
             start = self.pos
-            ch = self._peek()
+            ch = text[start:start + 1]   # "" at the end of the text
             if ch == "{":
                 end = self._close.get(start)
                 if end is None:
                     raise _Fault(f"unbalanced braces in {where}", start,
                                  self._next_block(start), cite_key)
-                parts.append(self.text[start + 1:end])
+                parts.append(text[start + 1:end])
                 self.pos = end + 1
             elif ch == '"':
                 # Braces must balance inside quotes too.
                 end = self._block_end(start + 1, '"')
                 if end is None:
                     resume = self._next_block(start)
-                    braces = _STOPS["}"].search(self.text, start, resume)
+                    braces = _STOPS["}"].search(text, start, resume)
                     problem = "unbalanced braces" if braces else "unterminated quoted value"
                     raise _Fault(f"{problem} in {where}", start, resume, cite_key)
-                parts.append(self.text[start + 1:end - 1])
+                parts.append(text[start + 1:end - 1])
                 self.pos = end
-            elif ch is not None and ch.isdigit():
-                m = _NUMBER.match(self.text, start)
-                assert m is not None
+            elif m := _NUMBER.match(text, start):
                 parts.append(m.group(0))
                 self.pos = m.end()
             else:
-                m = _MACRO_NAME.match(self.text, start) if ch else None
+                m = _MACRO_NAME.match(text, start)
                 if not m:
                     raise _Fault(f"expected a field value in {where}", start,
                                  self._rest(close_ch), cite_key)
@@ -199,11 +208,10 @@ class _Scanner:
                                 start, cite_key)
                     resolved = name
                 parts.append(resolved)
-            self._skip_ws()
-            if self._peek() == "#":
-                self.pos += 1
-                continue
-            return "".join(parts)
+            self.pos = _WS.match(text, self.pos).end()
+            if not text.startswith("#", self.pos):
+                return "".join(parts)
+            self.pos = _WS.match(text, self.pos + 1).end()
 
     # -- block parsing ----------------------------------------------------
 
@@ -238,6 +246,7 @@ class _Scanner:
             raise _Fault(f"expected '=' in @string definition of '{name}'", self.pos,
                          self._rest(close_ch))
         self.pos += 1
+        self._skip_ws()
         value = self._read_value(f"@string '{name}'", None, close_ch)
         self._skip_ws()
         if self._peek() != close_ch:
@@ -273,38 +282,37 @@ class _Scanner:
                          self._rest(close_ch), cite_key)
         where = f"entry '{cite_key}'"
         fields: dict[str, str] = {}
-        while True:
-            self._skip_ws()
-            ch = self._peek()
-            if ch == close_ch:
-                self.pos += 1
-                return fields
-            if ch is None:
-                raise _Fault(f"unterminated entry '{cite_key}' (missing '{close_ch}')",
-                             at, self.pos, cite_key)
-            m = _FIELD_NAME.match(self.text, self.pos)
-            if not m:
-                raise _Fault(f"expected a field name in {where}", self.pos,
-                             self._rest(close_ch), cite_key)
-            name = m.group(0).lower()
-            self.pos = m.end()
-            self._skip_ws()
-            if self._peek() != "=":
-                raise _Fault(f"expected '=' after field name '{name}' in {where}",
-                             self.pos, self._rest(close_ch), cite_key)
-            self.pos += 1
+        while head := _FIELD_HEAD.match(self.text, self.pos):
+            name = head.group(1).lower()
+            self.pos = head.end()
             value = self._read_value(where, cite_key, close_ch)
             if name in fields:
                 self._issue("warning", f"duplicate field '{name}' in {where} "
-                            "overwrites the earlier value", m.start(), cite_key)
+                            "overwrites the earlier value", head.start(1), cite_key)
             fields[name] = value
-            self._skip_ws()
-            ch = self._peek()
+            ch = self.text[self.pos:self.pos + 1]
             if ch == ",":
                 self.pos += 1
-            elif ch != close_ch and ch is not None:
+            elif ch != close_ch and ch:
                 raise _Fault(f"expected ',' or '{close_ch}' after field '{name}' in {where}",
                              self.pos, self._rest(close_ch), cite_key)
+        # No field head here: the entry closes, or this is where it breaks.
+        self._skip_ws()
+        ch = self._peek()
+        if ch == close_ch:
+            self.pos += 1
+            return fields
+        if ch is None:
+            raise _Fault(f"unterminated entry '{cite_key}' (missing '{close_ch}')",
+                         at, self.pos, cite_key)
+        m = _FIELD_NAME.match(self.text, self.pos)
+        if not m:
+            raise _Fault(f"expected a field name in {where}", self.pos,
+                         self._rest(close_ch), cite_key)
+        self.pos = m.end()
+        self._skip_ws()
+        raise _Fault(f"expected '=' after field name '{m.group(0).lower()}' in {where}",
+                     self.pos, self._rest(close_ch), cite_key)
 
     def scan(self) -> tuple[list[RawEntry], list[ParseIssue]]:
         while (at := self.text.find("@", self.pos)) != -1:

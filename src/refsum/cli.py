@@ -81,11 +81,17 @@ _CONFIG_TYPES = {key: _accepted_types(hint)
                  for key, hint in get_type_hints(RunConfig).items() if key in _CONFIG_KEYS}
 
 
+def _not_utf8(what: str, path: str, exc: UnicodeDecodeError) -> str:
+    return f"{what} {path} is not valid UTF-8 (byte {exc.start})"
+
+
 def _load_config_file(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(_not_utf8("config file", path, exc))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}")
     if not isinstance(data, dict):
@@ -129,6 +135,8 @@ def _read_input(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read input {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(_not_utf8("input", path, exc))
 
 
 def _load_records(run: RunConfig, warnings: list[str]):
@@ -143,6 +151,8 @@ def _load_records(run: RunConfig, warnings: list[str]):
             taxonomy = load_taxonomy_file(run.taxonomy)
         except OSError as exc:
             raise InputError(f"cannot read taxonomy {run.taxonomy}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise InputError(_not_utf8("taxonomy", run.taxonomy, exc))
     entries, issues = scan_bibtex(text)
     errors = [i for i in issues if i.severity == "error"]
     for issue in issues:
@@ -213,6 +223,8 @@ def _load_pack(run: RunConfig) -> TemplatePack:
         pack = load_template_pack_file(run.templates) if run.templates else default_pack()
     except OSError as exc:
         raise ConfigError(f"cannot read template pack {run.templates}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(_not_utf8("template pack", run.templates, exc))
     except TemplateError as exc:
         raise ConfigError(f"template pack {run.templates}: {exc}")
     return pack.with_settings(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
@@ -130,7 +130,10 @@ class CountCache:
         self._path = Path(directory) / CACHE_FILENAME
         self._counts: dict[str, int] = {}
         if self._path.exists():
-            for line in self._path.read_text(encoding="utf-8").splitlines():
+            # Bytes that are not UTF-8 only spoil their own line, which is
+            # then skipped as corrupt like any other.
+            text = self._path.read_text(encoding="utf-8", errors="replace")
+            for line in text.splitlines():
                 parts = line.split("\t")
                 if len(parts) >= 2:
                     try:
@@ -264,10 +267,10 @@ def enrich_citation_counts(
         if fetched:
             cache.update(fetched)
 
-    enriched = []
-    for i, record in enumerate(records):
-        if i in results:
-            enriched.append(replace(record, citation_count=results[i]))
-        else:
-            enriched.append(record)
+    enriched = list(records)
+    for i, count in results.items():
+        r = records[i]
+        enriched[i] = ReferenceRecord(r.id, r.title, r.authors, r.year, r.venue_name,
+                                      r.venue_type, r.domain, r.subdomain, count,
+                                      r.self_citation)
     return enriched, report

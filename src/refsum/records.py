@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -63,7 +63,6 @@ _ACCENT_RE = re.compile(r"\{?\\(['`\"^~=.])\{?([A-Za-z])\}?\}?")
 _CEDILLA_RE = re.compile(r"\{?\\c\{?([cC])\}?\}?")
 _CARON_RE = re.compile(r"\{?\\v\{?([a-zA-Z])\}?\}?")
 _NAMED_RE = re.compile(r"\{?\\(" + "|".join(sorted(_NAMED, key=len, reverse=True)) + r")\}?(?![A-Za-z])")
-_WS_RE = re.compile(r"\s+")
 
 
 def _compose(mark: str, letter: str) -> str:
@@ -74,16 +73,24 @@ def de_latex(text: str) -> str:
     """Undo the common LaTeX escapes and accent commands, drop braces.
 
     Covers a fixed table of frequent sequences only; exotic macros are left
-    as-is minus their braces.
+    as-is minus their braces. The passes run in a fixed order that shows in
+    the output (``\\o\\'x`` reads ``\\ox́``: the accent pass takes the ``x``
+    first). Each pass matches only where the text as it stands holds a
+    backslash (the cedilla and caron passes: ``\\c`` or ``\\v``), so it is
+    skipped where it has none; most values have none from the start.
     """
-    for seq, plain in _ESCAPES.items():
-        text = text.replace(seq, plain)
-    text = _ACCENT_RE.sub(lambda m: _compose(m.group(1), m.group(2)), text)
-    text = _CEDILLA_RE.sub(lambda m: "ç" if m.group(1) == "c" else "Ç", text)
-    text = _CARON_RE.sub(lambda m: unicodedata.normalize("NFC", m.group(1) + "̌"), text)
-    text = _NAMED_RE.sub(lambda m: _NAMED[m.group(1)], text)
+    if "\\" in text:
+        for seq, plain in _ESCAPES.items():
+            text = text.replace(seq, plain)
+        text = _ACCENT_RE.sub(lambda m: _compose(m.group(1), m.group(2)), text)
+    if "\\c" in text:
+        text = _CEDILLA_RE.sub(lambda m: "ç" if m.group(1) == "c" else "Ç", text)
+    if "\\v" in text:
+        text = _CARON_RE.sub(lambda m: unicodedata.normalize("NFC", m.group(1) + "̌"), text)
+    if "\\" in text:
+        text = _NAMED_RE.sub(lambda m: _NAMED[m.group(1)], text)
     text = text.replace("~", " ").replace("{", "").replace("}", "")
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 # -- domain types -------------------------------------------------------------
@@ -252,7 +259,9 @@ def derive_self_citations(records: list[ReferenceRecord],
     """Each record flagged as a self-citation iff it shares an author with
     the citing paper."""
     citing_keys = {a.normalized_key for a in citing_authors}
-    return [replace(r, self_citation=any(a.normalized_key in citing_keys for a in r.authors))
+    return [ReferenceRecord(r.id, r.title, r.authors, r.year, r.venue_name, r.venue_type,
+                            r.domain, r.subdomain, r.citation_count,
+                            any(a.normalized_key in citing_keys for a in r.authors))
             for r in records]
 
 

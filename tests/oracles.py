@@ -6,7 +6,9 @@ statistics module, and exhaustive scans. Keep them dumb.
 
 from __future__ import annotations
 
+import re
 import statistics
+import unicodedata
 from collections.abc import Mapping
 
 
@@ -129,3 +131,30 @@ def brute_percentage(proportion):
     if int(frac[0]) >= 5:
         n += 1
     return f"{n}%"
+
+
+# The LaTeX cleanup done the plain way: all five passes over every value, in
+# this order, then '~' and braces, then whitespace with a regex.
+_COMBINING = {"'": "\u0301", "`": "\u0300", '"': "\u0308", "^": "\u0302",
+              "~": "\u0303", "=": "\u0304", ".": "\u0307"}
+_NAMED = {"ss": "ß", "ae": "æ", "AE": "Æ", "oe": "œ", "OE": "Œ",
+          "o": "ø", "O": "Ø", "aa": "å", "AA": "Å", "l": "ł", "L": "Ł",
+          "i": "ı"}
+_ESCAPES = {"\\&": "&", "\\%": "%", "\\_": "_", "\\#": "#", "\\$": "$"}
+_ACCENT_RE = re.compile(r"\{?\\(['`\"^~=.])\{?([A-Za-z])\}?\}?")
+_CEDILLA_RE = re.compile(r"\{?\\c\{?([cC])\}?\}?")
+_CARON_RE = re.compile(r"\{?\\v\{?([a-zA-Z])\}?\}?")
+_NAMED_RE = re.compile(r"\{?\\(" + "|".join(sorted(_NAMED, key=len, reverse=True))
+                       + r")\}?(?![A-Za-z])")
+
+
+def brute_de_latex(text):
+    for seq, plain in _ESCAPES.items():
+        text = text.replace(seq, plain)
+    text = _ACCENT_RE.sub(lambda m: unicodedata.normalize(
+        "NFC", m.group(2) + _COMBINING[m.group(1)]), text)
+    text = _CEDILLA_RE.sub(lambda m: "ç" if m.group(1) == "c" else "Ç", text)
+    text = _CARON_RE.sub(lambda m: unicodedata.normalize("NFC", m.group(1) + "\u030c"), text)
+    text = _NAMED_RE.sub(lambda m: _NAMED[m.group(1)], text)
+    text = text.replace("~", " ").replace("{", "").replace("}", "")
+    return re.sub(r"\s+", " ", text).strip()

@@ -213,6 +213,35 @@ def test_each_fault_is_reported_once_and_the_scan_resumes_after_it(text, issue, 
     assert [e.cite_key for e in entries] == keys
 
 
+# One row per way a field head (name, '=' and the whitespace around them) can
+# read: the entries as (cite key, fields) and the issues, as in the table above.
+@pytest.mark.parametrize("text, entries, issues", [
+    ("@misc{k,\n\ttitle\t=\n\t{T},\n  year\n=\n2020\n}\n@misc{m}",
+     [("k", {"title": "T", "year": "2020"}), ("m", {})], []),
+    ("@misc(k,\ttitle\t=\tx\t)", [("k", {"title": "x"})],
+     [("warning", "undefined macro 'x' kept verbatim", 17, "k")]),
+    ("@misc{k, title # {x}} @misc{m}", [("m", {})],
+     [("error", "expected '=' after field name 'title' in entry 'k'", 15, "k")]),
+    ("@misc{k, title} @misc{m}", [("m", {})],
+     [("error", "expected '=' after field name 'title' in entry 'k'", 14, "k")]),
+    ("@misc{k, title", [],
+     [("error", "expected '=' after field name 'title' in entry 'k'", 14, "k")]),
+    ("@misc{k, title=", [], [("error", "expected a field value in entry 'k'", 15, "k")]),
+    ("@misc{k, title =  ", [], [("error", "expected a field value in entry 'k'", 18, "k")]),
+    # The warning points at the second name, in bytes: 'é' takes two.
+    ("@misc{k, note={é},\n note = {b}} @misc{m}", [("k", {"note": "b"}), ("m", {})],
+     [("warning", "duplicate field 'note' in entry 'k' overwrites the earlier value", 21, "k")]),
+    # Only 0-9 make a number; another digit starts a macro name.
+    ("@misc{k, a=², b=٣}", [("k", {"a": "²", "b": "٣"})],
+     [("warning", "undefined macro '²' kept verbatim", 11, "k"),
+      ("warning", "undefined macro '٣' kept verbatim", 17, "k")]),
+])
+def test_field_heads_read_across_whitespace_and_break_where_they_stop(text, entries, issues):
+    got_entries, got_issues = scan_bibtex(text)
+    assert [(e.cite_key, e.fields) for e in got_entries] == entries
+    assert [(i.severity, i.message, i.offset, i.cite_key) for i in got_issues] == issues
+
+
 @pytest.mark.parametrize("text", [
     "@string{x = {v} junk}", "@string{x = {v}, y = {w}}", "@string{x = {v}"])
 def test_a_string_that_does_not_close_after_its_value_defines_nothing(text):

@@ -99,6 +99,24 @@ def test_unreadable_file_named_by_a_flag_is_refused(capsys, data_dir, tmp_path,
     assert result[2].startswith(f"refsum: {message} {missing}: ")
 
 
+@pytest.mark.parametrize("flags, code, message", [
+    ([], 1, "input {} is not valid UTF-8 (byte 2)"),
+    (["--taxonomy"], 1, "taxonomy {} is not valid UTF-8 (byte 2)"),
+    (["--templates"], 2, "configuration error: template pack {} is not valid UTF-8 (byte 2)"),
+    (["--config"], 2, "configuration error: config file {} is not valid UTF-8 (byte 2)"),
+    # The counts file is refused through the ValueError of any malformed map.
+    (["--provider", "mock", "--counts"], 2,
+     "configuration error: counts file {} is not a title->count map: "
+     "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+], ids=["input", "taxonomy", "pack", "config", "counts"])
+def test_a_file_that_is_not_utf8_is_refused_by_name(capsys, data_dir, tmp_path,
+                                                    flags, code, message):
+    bad = tmp_path / "bad.bib"
+    bad.write_bytes(b"ok\xff\n")
+    argv = [str(data_dir / "fixture20.bib"), *flags, str(bad)] if flags else [str(bad)]
+    assert _run(capsys, "summarize", *argv) == (code, "", f"refsum: {message.format(bad)}\n")
+
+
 def test_empty_reference_list_exit_one(capsys, tmp_path):
     empty = tmp_path / "empty.bib"
     empty.write_text("% nothing here\n")

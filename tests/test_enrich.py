@@ -150,6 +150,12 @@ def test_negative_cache_count_is_skipped_as_corrupt(tmp_path):
     assert (cache.get("k1"), cache.get("k2"), len(cache)) == (3, None, 1)
 
 
+def test_bytes_that_are_not_utf8_spoil_only_their_own_cache_line(tmp_path):
+    (tmp_path / "citations.tsv").write_bytes(b"k1\t3\tx\nk2\t\xff\tx\nk3\t5\tx\n")
+    cache = CountCache(tmp_path)
+    assert (cache.get("k1"), cache.get("k2"), cache.get("k3")) == (3, None, 5)
+
+
 def test_concurrent_cache_writes_stay_intact(tmp_path):
     class Echo:
         def resolve(self, title, family, year):

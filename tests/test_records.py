@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from refsum import (ConfigError, PersonName, RawEntry, ReferenceRecord,
-                    de_latex, derive_self_citations, load_record_lines, load_taxonomy,
-                    parse_person_names, to_reference_record)
+from oracles import brute_de_latex
+from refsum import (ConfigError, PersonName, RawEntry, ReferenceRecord, StaticCountProvider,
+                    de_latex, derive_self_citations, enrich_citation_counts,
+                    load_record_lines, load_taxonomy, parse_person_names,
+                    to_reference_record)
 
 
 # -- names ---------------------------------------------------------------------
@@ -49,9 +52,42 @@ def test_key_is_pure_function_of_parts():
     ("Rock \\& Roll, 100\\%", "Rock & Roll, 100%"),
     ("\\c{c}a va", "ça va"),
     ("spread  across\n lines", "spread across lines"),
+    # The accent pass runs before the named one and takes the 'x', so '\o'
+    # is then followed by a letter and stays.
+    ("\\o\\'x", "\\ox\u0301"),
+    ("no~break\x1c\xa0here ", "no break here"),
 ])
 def test_de_latex(raw, expected):
     assert de_latex(raw) == expected
+
+
+# LaTeX-heavy text: commands (escapes, accents, cedilla, caron, named
+# letters) with or without braces and an argument, mixed with their pieces
+# alone and with whitespace, in any order.
+_LATEX_MARKS = "&%_#$'`\"^~=.cv"
+_LATEX_COMMAND = st.tuples(
+    st.sampled_from(["", "{"]),
+    st.sampled_from(["\\" + m for m in [*_LATEX_MARKS, "ss", "ae", "AE", "oe", "OE",
+                                         "o", "O", "aa", "AA", "l", "L", "i"]]),
+    st.sampled_from(["", "{", " ", "\\"]),
+    st.sampled_from(["", *"cCsoxi", "\\&", "ss"]),
+    st.sampled_from(["", "}", "}}"]),
+).map("".join)
+_LATEX_HEAVY = st.lists(st.one_of(
+    _LATEX_COMMAND,
+    st.sampled_from([*"\\{}cvx", *_LATEX_MARKS, "\n", "\t", "\x1c", "\xa0", " "]),
+), max_size=30).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_LATEX_HEAVY)
+@example("\\o\\'x")
+@example("{\\'{\\&}}")
+@example("\\\\&")
+@example("\\c{c}\\v{s}")
+@example("\\\\`cc")   # the accent pass leaves '\c' before a combining mark
+def test_de_latex_matches_the_plain_five_passes(text):
+    assert de_latex(text) == brute_de_latex(text)
 
 
 # -- taxonomy --------------------------------------------------------------------
@@ -184,6 +220,40 @@ def test_self_citation_permutation_invariant():
         shuffled_ref = ReferenceRecord(
             id="r", authors=tuple(rng.sample(reference.authors, len(reference.authors))))
         assert _flag(shuffled_ref, shuffled_citing) == expected
+
+
+_NAMES = parse_person_names("John Smith and J. Smith and Ada Doe and Kim Lee")
+_TITLES = ["Alpha", "Beta", "Gamma", ""]
+_RECORDS = st.lists(st.builds(
+    ReferenceRecord,
+    id=st.text(max_size=3),
+    title=st.sampled_from(_TITLES),
+    authors=st.lists(st.sampled_from(_NAMES), max_size=3).map(tuple),
+    year=st.one_of(st.none(), st.integers(1990, 2020)),
+    venue_name=st.text(max_size=3),
+    venue_type=st.sampled_from(["proceedings", "journal", "book", "other"]),
+    domain=st.one_of(st.none(), st.text(max_size=3)),
+    subdomain=st.one_of(st.none(), st.text(max_size=3)),
+    citation_count=st.one_of(st.none(), st.integers(0, 9)),
+    self_citation=st.one_of(st.none(), st.booleans()),
+), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RECORDS, st.lists(st.sampled_from(_NAMES), max_size=2),
+       st.dictionaries(st.sampled_from(_TITLES), st.integers(0, 9)))
+def test_flagged_and_enriched_records_equal_their_dataclass_replace_copies(
+        records, citing, counts):
+    """Both passes build their copies field by field; a field that one of
+    them forgets to carry over breaks this equality."""
+    keys = {a.normalized_key for a in citing}
+    assert derive_self_citations(records, tuple(citing)) == [
+        replace(r, self_citation=any(a.normalized_key in keys for a in r.authors))
+        for r in records]
+    enriched, _ = enrich_citation_counts(records, StaticCountProvider(counts))
+    assert enriched == [
+        r if r.citation_count is not None or r.title not in counts
+        else replace(r, citation_count=counts[r.title]) for r in records]
 
 
 # -- record files ------------------------------------------------------------------
