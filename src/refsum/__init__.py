@@ -31,7 +31,6 @@ from .records import (CitingPaper, ReferenceRecord, TaxonomyRule, VenueTaxonomy,
                       de_latex, derive_self_citations,
                       load_record_lines, load_taxonomy, load_taxonomy_file,
                       to_reference_record)
-from .templates import (TemplatePack, default_pack, load_template_pack,
-                        load_template_pack_file, price_pack)
+from .templates import TemplatePack, default_pack, load_template_pack, price_pack
 
 __version__ = "0.1.0"

@@ -33,8 +33,8 @@ from .plan import build_plan, plan_to_text
 from .profile import build_profile, profile_to_text
 from .realize import realize
 from .records import (CitingPaper, VenueTaxonomy, derive_self_citations,
-                      load_record_lines, load_taxonomy_file, to_reference_record)
-from .templates import TemplatePack, default_pack, load_template_pack_file
+                      load_record_lines, load_taxonomy, to_reference_record)
+from .templates import TemplatePack, default_pack, load_template_pack
 
 CACHE_DIR_ENV = "REFSUM_CACHE_DIR"
 EMIT_MODES = ("summary", "plan", "profile")
@@ -81,17 +81,20 @@ _CONFIG_TYPES = {key: _accepted_types(hint)
                  for key, hint in get_type_hints(RunConfig).items() if key in _CONFIG_KEYS}
 
 
-def _not_utf8(what: str, path: str, exc: UnicodeDecodeError) -> str:
-    return f"{what} {path} is not valid UTF-8 (byte {exc.start})"
+def _read_text(path: str, what: str, error: type[RefsumError]) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be read raises ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not valid UTF-8 (byte {exc.start})")
 
 
 def _load_config_file(path: str) -> dict:
+    text = _read_text(path, "config file", ConfigError)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(_not_utf8("config file", path, exc))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}")
     if not isinstance(data, dict):
@@ -110,12 +113,10 @@ def _load_config_file(path: str) -> dict:
 
 def _merge_run_config(args: argparse.Namespace) -> RunConfig:
     run = RunConfig(input_path=args.input)
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in _load_config_file(args.config).items():
             setattr(run, key, value)
-    env_cache = os.environ.get(CACHE_DIR_ENV)
-    if env_cache:
-        run.cache_dir = env_cache
+    run.cache_dir = os.environ.get(CACHE_DIR_ENV) or run.cache_dir
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -130,29 +131,14 @@ def _merge_run_config(args: argparse.Namespace) -> RunConfig:
 
 # -- pipeline pieces ----------------------------------------------------------
 
-def _read_input(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read input {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise InputError(_not_utf8("input", path, exc))
-
-
 def _load_records(run: RunConfig, warnings: list[str]):
-    text = _read_input(run.input_path)
+    text = _read_text(run.input_path, "input", InputError)
     stripped = text.lstrip()
     is_bibtex = run.input_path.endswith(".bib") or stripped.startswith("@")
     if not is_bibtex and stripped.startswith("{"):
         return load_record_lines(text, warnings)
-    taxonomy = VenueTaxonomy()
-    if run.taxonomy:
-        try:
-            taxonomy = load_taxonomy_file(run.taxonomy)
-        except OSError as exc:
-            raise InputError(f"cannot read taxonomy {run.taxonomy}: {exc}")
-        except UnicodeDecodeError as exc:
-            raise InputError(_not_utf8("taxonomy", run.taxonomy, exc))
+    taxonomy = load_taxonomy(_read_text(run.taxonomy, "taxonomy", InputError)) \
+        if run.taxonomy else VenueTaxonomy()
     entries, issues = scan_bibtex(text)
     errors = [i for i in issues if i.severity == "error"]
     for issue in issues:
@@ -204,8 +190,8 @@ def _assemble(run: RunConfig, warnings: list[str]) -> CitingPaper:
     return CitingPaper(authors=citing_authors, references=tuple(records))
 
 
-def _summary_config(run: RunConfig) -> SummaryConfig:
-    base = default_refset_config() if run.algo == "refset" else default_prodset_config()
+def _summary_config(run: RunConfig, algo: str) -> SummaryConfig:
+    base = default_refset_config() if algo == "refset" else default_prodset_config()
     return replace(
         base,
         author_k=run.k,
@@ -218,53 +204,51 @@ def _summary_config(run: RunConfig) -> SummaryConfig:
 
 
 def _load_pack(run: RunConfig) -> TemplatePack:
-    """The run's template pack; the CLI always sets the pack's show_counts."""
+    """The run's template pack, with the flags' or config file's settings on top."""
     try:
-        pack = load_template_pack_file(run.templates) if run.templates else default_pack()
-    except OSError as exc:
-        raise ConfigError(f"cannot read template pack {run.templates}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(_not_utf8("template pack", run.templates, exc))
+        pack = load_template_pack(_read_text(run.templates, "template pack", ConfigError)) \
+            if run.templates else default_pack()
     except TemplateError as exc:
         raise ConfigError(f"template pack {run.templates}: {exc}")
     return pack.with_settings(
         unit=run.unit or None, noun=run.noun or None,
-        show_counts="yes" if run.show_counts is None or run.show_counts else "no")
+        show_counts=None if run.show_counts is None else str(run.show_counts))
 
 
-def _emit(citing: CitingPaper, run: RunConfig, warnings: list[str]) -> str:
-    config = _summary_config(run)
+def _emit(citing: CitingPaper, run: RunConfig, algo: str, emit: str,
+          warnings: list[str]) -> str:
+    config = _summary_config(run, algo)
     profile = build_profile(citing, config, warnings)
-    if run.emit == "profile":
+    if emit == "profile":
         return profile_to_text(profile)
     plan = build_plan(profile, config)
-    if run.emit == "plan":
+    if emit == "plan":
         return plan_to_text(plan)
     return realize(plan, _load_pack(run)).full_text
 
 
 # -- subcommands ----------------------------------------------------------------
 
-def _cmd_summarize(args: argparse.Namespace) -> int:
-    run = _merge_run_config(args)
+def _cmd_summarize(run: RunConfig) -> int:
     warnings: list[str] = []
     citing = _assemble(run, warnings)
-    output = _emit(citing, run, warnings)
+    try:
+        output = _emit(citing, run, run.algo, run.emit, warnings)
+    except (PlanningError, RealizationError):
+        _flush_warnings(warnings)
+        raise
     _flush_warnings(warnings)
     print(output)
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    run = _merge_run_config(args)
+def _cmd_compare(run: RunConfig) -> int:
     warnings: list[str] = []
     citing = _assemble(run, warnings)
     sections, failures = [], []
     for algo in ALGORITHMS:
-        run.algo = algo
-        run.emit = "summary"
         try:
-            sections.append(f"[{algo}]\n{_emit(citing, run, warnings)}")
+            sections.append(f"[{algo}]\n{_emit(citing, run, algo, 'summary', warnings)}")
         except (PlanningError, RealizationError) as exc:
             failures.append(f"refsum: {algo}: {exc}")
     _flush_warnings(warnings)
@@ -274,8 +258,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 3 if failures else 0
 
 
-def _cmd_enrich(args: argparse.Namespace) -> int:
-    run = _merge_run_config(args)
+def _cmd_enrich(run: RunConfig) -> int:
     if run.provider == "off":
         raise ConfigError("enrich needs --provider mock or http")
     if not run.cache_dir:
@@ -350,19 +333,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_merge_run_config(args))
     except ConfigError as exc:
         print(f"refsum: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (PlanningError, RealizationError) as exc:
-        print(f"refsum: {exc}", file=sys.stderr)
-        return 3
     except RefsumError as exc:
         print(f"refsum: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, (PlanningError, RealizationError)) else 1
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ _PARTICLES = {
 }
 
 _AND_SPLIT = re.compile(r"\s+and\s+")
-_WS = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class PersonName:
     @cached_property
     def normalized_key(self) -> str:
         """Lowercased family plus first given initial, e.g. ``smith.j``."""
-        family = _WS.sub(" ", self.family.strip().lower())
+        family = " ".join(self.family.lower().split())
         for ch in self.given:
             if ch.isalnum():
                 return f"{family}.{ch.lower()}"
@@ -44,7 +43,7 @@ class PersonName:
 
 
 def _clean(part: str) -> str:
-    return _WS.sub(" ", part.replace("{", "").replace("}", "")).strip()
+    return " ".join(part.replace("{", "").replace("}", "").split())
 
 
 def _parse_one(raw: str) -> PersonName | None:

@@ -310,10 +310,14 @@ def _typed(obj: dict, key: str, kind: type, default, rid: str, warnings: list[st
 
 
 def load_record_lines(text: str, warnings: list[str] | None = None) -> list[ReferenceRecord]:
-    """Read one reference object per line, fields named as in ReferenceRecord."""
+    """Read one reference object per line, fields named as in ReferenceRecord.
+
+    A line whose ``id`` an earlier line already holds is dropped with a warning.
+    """
     if warnings is None:
         warnings = []
     records = []
+    first_line: dict[str, int] = {}
     memo: dict[str | tuple[str, str], tuple[PersonName, ...]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -325,6 +329,10 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
         if not isinstance(obj, dict):
             raise RecordFileError(f"line {lineno}: expected an object")
         rid = _typed(obj, "id", str, None, f"r{lineno}", warnings) or f"r{lineno}"
+        if rid in first_line:
+            warnings.append(f"{rid}: duplicate id (first on line {first_line[rid]}), dropped")
+            continue
+        first_line[rid] = lineno
         names = _typed(obj, "authors", list, (), rid, warnings)
         authors = tuple(n for item in names for n in _names_from_json(item, rid, warnings, memo))
         year = obj.get("year")

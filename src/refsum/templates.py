@@ -3,7 +3,8 @@
 Pack files are plain text. A ``[section]`` header opens either a template
 (dotted lowercase key, body lines joined into one template string), the
 ``[settings]`` table, or a ``[lexicon.<attribute>]`` table mapping value
-tokens to display phrases. ``#`` starts a comment line.
+tokens to display phrases; each header appears once. ``#`` starts a comment
+line.
 
 Lookup falls back through progressively less specific keys (for example
 ``quant.subdomain.most.first`` before ``quant.most.first``), and value
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from .errors import RealizationError, TemplateError
 
@@ -78,6 +78,7 @@ def load_template_pack(text: str) -> TemplatePack:
     settings: dict[str, str] = {}
     section: str | None = None
     body: list[str] = []
+    headers: set[str] = set()
 
     def close_section() -> None:
         if section is None:
@@ -104,6 +105,9 @@ def load_template_pack(text: str) -> TemplatePack:
             section = line[1:-1].strip()
             if not section:
                 raise TemplateError("empty section header")
+            if section in headers:
+                raise TemplateError(f"[{section}]: repeated section header")
+            headers.add(section)
             body = []
         elif section is None:
             raise TemplateError(f"content before the first section header: {line!r}")
@@ -111,10 +115,6 @@ def load_template_pack(text: str) -> TemplatePack:
             body.append(line)
     close_section()
     return TemplatePack(templates=templates, lexicon=lexicon).with_settings(**settings)
-
-
-def load_template_pack_file(path: str | Path) -> TemplatePack:
-    return load_template_pack(Path(path).read_text(encoding="utf-8"))
 
 
 # The stock pack for bibliography summaries (citation counts dominate).

@@ -158,3 +158,13 @@ def brute_de_latex(text):
     text = _NAMED_RE.sub(lambda m: _NAMED[m.group(1)], text)
     text = text.replace("~", " ").replace("{", "").replace("}", "")
     return re.sub(r"\s+", " ", text).strip()
+
+
+# Person-name whitespace collapsed with the regex forms: runs of `\s` to one
+# space, ends stripped.
+def brute_name_clean(part):
+    return re.sub(r"\s+", " ", part.replace("{", "").replace("}", "")).strip()
+
+
+def brute_family_key(family):
+    return re.sub(r"\s+", " ", family.strip().lower())

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from refsum.cli import main
+from refsum.templates import DEFAULT_PACK_TEXT
 
 FIXTURE_ARGS = ["--taxonomy", "tests/data/fixture.tax",
                 "--provider", "mock", "--counts", "tests/data/fixture20_counts.json",
@@ -137,6 +138,14 @@ def test_author_list_size_zero_exit_two(capsys, data_dir):
     assert err.endswith("refsum: configuration error: author list size must be at least 1\n")
 
 
+def test_summarize_shows_its_warnings_before_a_planning_error(capsys, data_dir):
+    code, out, err = _run(capsys, "summarize", str(data_dir / "malformed.bib"),
+                          "--algo", "prodset")
+    assert (code, out) == (3, "")
+    assert "entry 'good5'" in err
+    assert err.endswith("\nrefsum: missing profile fragment: dominating shape\n")
+
+
 def test_planning_error_exit_three(capsys, data_dir):
     # prodset without any citation counts cannot report the dominating shape
     code, _, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
@@ -177,6 +186,18 @@ def test_compare_produces_both_labelled_summaries(capsys, data_dir):
     assert out.startswith("[refset]\n")
     assert "\n[prodset]\n" in out
     assert out.count("43 references") >= 2
+
+
+def test_compare_renders_both_summaries_whatever_the_config_file_asks(capsys, data_dir,
+                                                                     tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"algo": "prodset", "emit": "profile"}))
+    args = [str(data_dir / "fixture20.bib"), "--taxonomy", str(data_dir / "fixture.tax"),
+            "--provider", "mock", "--counts", str(data_dir / "fixture20_counts.json"),
+            "--paper-authors", "Alice Novak and Robert Chen"]
+    code, out, _ = _run(capsys, "compare", *args, "--config", str(config))
+    assert code == 0
+    assert out == (data_dir / "golden" / "compare_full.txt").read_text()
 
 
 def test_compare_prints_the_sections_that_render(capsys, data_dir):
@@ -360,6 +381,25 @@ def test_no_counts_flag_hides_numbers(capsys, data_dir):
     assert code == 0
     assert "citations)" not in out
     assert "The 7 authors with the highest citation counts" in out
+
+
+@pytest.mark.parametrize("flags, config, shown", [
+    ([], None, False),
+    (["--no-counts"], None, False),
+    ([], {"show_counts": True}, True),
+    (["--no-counts"], {"show_counts": True}, False),
+], ids=["pack", "flag", "config", "flag-over-config"])
+def test_show_counts_comes_from_the_flag_then_the_config_file_then_the_pack(
+        capsys, data_dir, tmp_path, flags, config, shown):
+    pack = tmp_path / "quiet.pack"
+    pack.write_text(DEFAULT_PACK_TEXT.replace("show_counts = yes", "show_counts = no"))
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        flags = [*flags, "--config", str(tmp_path / "run.json")]
+    code, out, _ = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
+                        *FIXTURE_ARGS, "--templates", str(pack), *flags)
+    assert code == 0
+    assert ("citations)" in out) is shown
 
 
 def test_quantifier_thresholds_from_config_file(capsys, data_dir, tmp_path):

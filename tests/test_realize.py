@@ -296,11 +296,12 @@ def test_every_template_may_use_the_shared_noun_and_unit_slots():
     ("[lexicon.x]\nno equals sign here\n", "[lexicon.x]: expected 'token = display' lines"),
     ("[empty.section]\n[next.section]\nbody\n", "[empty.section]: empty template body"),
     ("[]\nbody\n", "empty section header"),
+    ("[a]\nfirst\n[a]\nsecond\n", "[a]: repeated section header"),
     ("[settings]\nshow_count = no\n", "[settings]: unknown key 'show_count'"),
     ("[settings]\nshow_counts = nope\n",
      "[settings]: show_counts must be yes, no, true, false, 1 or 0, not 'nope'"),
-], ids=["stray-line", "lexicon-line", "empty-body", "empty-header", "unknown-setting",
-        "bad-show-counts"])
+], ids=["stray-line", "lexicon-line", "empty-body", "empty-header", "repeated-header",
+        "unknown-setting", "bad-show-counts"])
 def test_pack_loader_rejects_malformed_input(text, message):
     with pytest.raises(TemplateError) as info:
         load_template_pack(text)

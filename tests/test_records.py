@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_de_latex
+from oracles import brute_de_latex, brute_family_key, brute_name_clean
 from refsum import (ConfigError, PersonName, RawEntry, ReferenceRecord, StaticCountProvider,
                     de_latex, derive_self_citations, enrich_citation_counts,
                     load_record_lines, load_taxonomy, parse_person_names,
                     to_reference_record)
+from refsum.names import _clean
 
 
 # -- names ---------------------------------------------------------------------
@@ -88,6 +90,19 @@ _LATEX_HEAVY = st.lists(st.one_of(
 @example("\\\\`cc")   # the accent pass leaves '\c' before a combining mark
 def test_de_latex_matches_the_plain_five_passes(text):
     assert de_latex(text) == brute_de_latex(text)
+
+
+_WHITESPACE = [chr(c) for c in range(0x3001) if re.fullmatch(r"\s", chr(c))]
+_SPACED_TEXT = st.text(st.one_of(st.sampled_from([*_WHITESPACE, "{", "}", "a", "É", "İ"]),
+                                 st.characters()), max_size=20)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SPACED_TEXT)
+@example("\x1c{Van}\u3000 der\x85Berg\xa0")
+def test_name_whitespace_collapses_as_the_regex_forms_do(text):
+    assert _clean(text) == brute_name_clean(text)
+    assert PersonName(family=text).normalized_key == brute_family_key(text)
 
 
 # -- taxonomy --------------------------------------------------------------------
@@ -398,9 +413,31 @@ def test_loading_a_file_equals_loading_each_line_alone(lines):
     whole_warnings: list[str] = []
     whole = load_record_lines("\n".join(lines), whole_warnings)
     # Each line loads alone, after blank lines that keep its line number, so
-    # no parse or name object is shared with any other line.
-    alone, alone_warnings = [], []
+    # no parse or name object is shared with any other line. A line whose id
+    # an earlier line holds stands for one duplicate-id warning instead.
+    alone, alone_warnings, first_line = [], [], {}
     for lineno, line in enumerate(lines):
-        alone += load_record_lines("\n" * lineno + line, alone_warnings)
+        line_warnings: list[str] = []
+        for record in load_record_lines("\n" * lineno + line, line_warnings):
+            if record.id in first_line:
+                alone_warnings.append(f"{record.id}: duplicate id "
+                                      f"(first on line {first_line[record.id]}), dropped")
+            else:
+                first_line[record.id] = lineno + 1
+                alone.append(record)
+                alone_warnings += line_warnings
     assert whole == alone
     assert whole_warnings == alone_warnings
+
+
+def test_a_repeated_record_id_keeps_the_first_line_and_warns():
+    rows = [{"id": "a", "title": "A", "venue_type": "journal", "year": 2001},
+            {"id": "a", "title": "A", "venue_type": "journal", "year": 2001},
+            {"id": "b", "title": "B", "venue_type": "book", "year": 2002},
+            {"title": "C", "year": 99}, {"id": "r4"}]
+    warnings: list[str] = []
+    records = load_record_lines("\n".join(json.dumps(r) for r in rows), warnings)
+    assert [(r.id, r.title) for r in records] == [("a", "A"), ("b", "B"), ("r4", "C")]
+    assert warnings == ["a: duplicate id (first on line 1), dropped",
+                        "r4: year 99 out of range, dropped",
+                        "r4: duplicate id (first on line 4), dropped"]
