@@ -18,8 +18,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import Callable, get_args, get_type_hints
 
 from .bibtex import raise_first_error, scan_bibtex
 from .config import (ALGORITHMS, LOOKUP_WORKERS, ComparisonBands, QuantifierThresholds,
@@ -216,7 +217,8 @@ def _load_pack(run: RunConfig) -> TemplatePack:
 
 
 def _emit(citing: CitingPaper, run: RunConfig, algo: str, emit: str,
-          warnings: list[str]) -> str:
+          warnings: list[str], pack: Callable[[], TemplatePack]) -> str:
+    """One algorithm's output; ``pack`` is called only to render summary text."""
     config = _summary_config(run, algo)
     profile = build_profile(citing, config, warnings)
     if emit == "profile":
@@ -224,7 +226,7 @@ def _emit(citing: CitingPaper, run: RunConfig, algo: str, emit: str,
     plan = build_plan(profile, config)
     if emit == "plan":
         return plan_to_text(plan)
-    return realize(plan, _load_pack(run)).full_text
+    return realize(plan, pack()).full_text
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -233,7 +235,8 @@ def _cmd_summarize(run: RunConfig) -> int:
     warnings: list[str] = []
     citing = _assemble(run, warnings)
     try:
-        output = _emit(citing, run, run.algo, run.emit, warnings)
+        output = _emit(citing, run, run.algo, run.emit, warnings,
+                       partial(_load_pack, run))
     except (PlanningError, RealizationError):
         _flush_warnings(warnings)
         raise
@@ -246,9 +249,10 @@ def _cmd_compare(run: RunConfig) -> int:
     warnings: list[str] = []
     citing = _assemble(run, warnings)
     sections, failures = [], []
+    pack = lru_cache(partial(_load_pack, run))   # read and parsed once, for both summaries
     for algo in ALGORITHMS:
         try:
-            sections.append(f"[{algo}]\n{_emit(citing, run, algo, 'summary', warnings)}")
+            sections.append(f"[{algo}]\n{_emit(citing, run, algo, 'summary', warnings, pack)}")
         except (PlanningError, RealizationError) as exc:
             failures.append(f"refsum: {algo}: {exc}")
     _flush_warnings(warnings)

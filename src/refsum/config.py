@@ -144,6 +144,5 @@ def default_prodset_config(**overrides) -> SummaryConfig:
             AttributeSpec("domain", "categorical", "listed"),
             AttributeSpec("subdomain", "categorical", "listed"),
         ),
-        dominating="citation_count",
     )
     return replace(config, **overrides)

@@ -1,9 +1,9 @@
 """Citation-count enrichment: pluggable providers plus an on-disk cache.
 
 A provider resolves (title, first-author family, year) to a count or
-not-found. Lookups that fail in transport degrade softly: the record keeps
-an absent count and the failure lands in the report; enrichment never aborts
-the pipeline.
+not-found. Lookups that fail in transport or answer in the wrong shape
+degrade softly: the record keeps an absent count and the failure lands in
+the report; enrichment never aborts the pipeline.
 
 The cache is an append-only TSV, one record per line:
 ``key<TAB>count<TAB>timestamp`` where key hashes the lookup triple. Later
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -103,24 +104,16 @@ class ScholarLookupProvider:
             payload = resp.json()
         except (requests.RequestException, ValueError) as exc:
             raise ProviderError(f"lookup failed for {title!r}: {exc}") from exc
-        hits = payload.get("data") or []
-        best = None
-        for hit in hits:
-            if _norm(str(hit.get("title", ""))) == _norm(title):
-                best = hit
-                break
-        if best is None:
-            for hit in hits:
-                hit_year = hit.get("year")
-                if year is not None and isinstance(hit_year, int) and abs(hit_year - year) <= 1:
-                    best = hit
-                    break
-        if best is None:
-            return None
-        count = best.get("citationCount")
-        if isinstance(count, int) and count >= 0:
-            return count
-        return None
+        hits = payload.get("data", []) if isinstance(payload, dict) else None
+        if not isinstance(hits, list) or not all(isinstance(hit, dict) for hit in hits):
+            raise ProviderError(f"lookup failed for {title!r}: malformed response")
+        wanted = _norm(title)
+        best = next((hit for hit in hits if _norm(str(hit.get("title", ""))) == wanted), None)
+        if best is None and year is not None:
+            best = next((hit for hit in hits if isinstance(hit.get("year"), int)
+                         and abs(hit["year"] - year) <= 1), None)
+        count = best.get("citationCount") if best is not None else None
+        return count if type(count) is int and count >= 0 else None
 
 
 class CountCache:
@@ -210,28 +203,23 @@ def enrich_citation_counts(
     lookup raises.
     """
     report = EnrichmentReport()
-    results: dict[int, int] = {}
-    pending: list[tuple[int, str, str | None]] = []   # (index, first-author family, key)
-
+    counts: dict[int, int] = {}
+    jobs: list[tuple[int, str, str | None]] = []   # (index, first-author family, key)
     for i, record in enumerate(records):
         if record.citation_count is not None:
             report.already_present += 1
             continue
         report.looked_up += 1
         family = record.authors[0].family if record.authors else ""
-        key = None
-        if cache is not None:
-            key = lookup_key(record.title, family, record.year)
-            cached = cache.get(key)
-            if cached is not None:
-                report.cache_hits += 1
-                results[i] = cached
-                continue
-        pending.append((i, family, key))
-
-    if provider is None:
-        report.not_found += len(pending)
-        pending = []
+        key = lookup_key(record.title, family, record.year) if cache is not None else None
+        cached = cache.get(key) if key is not None else None
+        if cached is not None:
+            report.cache_hits += 1
+            counts[i] = cached
+        elif provider is None:
+            report.not_found += 1
+        else:
+            jobs.append((i, family, key))
 
     def fetch(job: tuple[int, str, str | None]) -> tuple[int | None, str | None]:
         i, family, _ = job
@@ -241,34 +229,31 @@ def enrich_citation_counts(
             return None, str(exc)
 
     fetched: dict[str, int] = {}   # this pass's new cache lines
-
-    def tally(outcomes) -> None:
-        for (i, _, key), (count, error) in zip(pending, outcomes):
-            if error is not None:
-                report.failures.append((records[i].id, error))
-            elif count is None:
-                report.not_found += 1
-            else:
-                report.provider_hits += 1
-                results[i] = count
-                if key is not None:
-                    fetched[key] = count
-
     try:
-        if getattr(provider, "blocking", False) and max_workers > 1 and len(pending) > 1:
-            from concurrent.futures import ThreadPoolExecutor
+        with ExitStack() as stack:
+            mapper = map
+            if getattr(provider, "blocking", False) and max_workers > 1 and len(jobs) > 1:
+                from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=min(max_workers, len(pending))) as pool:
-                tally(pool.map(fetch, pending))
-        else:
-            tally(map(fetch, pending))
+                mapper = stack.enter_context(
+                    ThreadPoolExecutor(max_workers=min(max_workers, len(jobs)))).map
+            for (i, _, key), (count, error) in zip(jobs, mapper(fetch, jobs)):
+                if error is not None:
+                    report.failures.append((records[i].id, error))
+                elif count is None:
+                    report.not_found += 1
+                else:
+                    report.provider_hits += 1
+                    counts[i] = count
+                    if key is not None:
+                        fetched[key] = count
     finally:
         # Also on an interrupt: the counts fetched so far reach the cache.
         if fetched:
             cache.update(fetched)
 
     enriched = list(records)
-    for i, count in results.items():
+    for i, count in counts.items():
         r = records[i]
         enriched[i] = ReferenceRecord(r.id, r.title, r.authors, r.year, r.venue_name,
                                       r.venue_type, r.domain, r.subdomain, count,

@@ -57,16 +57,10 @@ def _parse_one(raw: str) -> PersonName | None:
             return None
         return PersonName(family=family, given=given)
     tokens = raw.split(" ")
-    if len(tokens) == 1:
-        return PersonName(family=tokens[0])
     split = len(tokens) - 1
     while split > 0 and tokens[split - 1] in _PARTICLES:
         split -= 1
-    family = " ".join(tokens[split:])
-    given = " ".join(tokens[:split])
-    if not family:
-        return None
-    return PersonName(family=family, given=given)
+    return PersonName(family=" ".join(tokens[split:]), given=" ".join(tokens[:split]))
 
 
 def parse_person_names(field: str) -> list[PersonName]:

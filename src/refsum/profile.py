@@ -368,14 +368,18 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
         raise EmptySetError("the reference list is empty")
     qt = config.quantifier_thresholds
 
+    def degrade(statistic, *args, prefix: str = "", **kwargs):
+        """The statistic's result, or None and a warning when it raises StatsError."""
+        try:
+            return statistic(*args, **kwargs)
+        except StatsError as exc:
+            warnings.append(f"profile: {prefix}{exc}")
+            return None
+
     distributions = {spec.name: categorical_distribution(records, spec.name, qt)
                      for spec in config.categorical()}
-    continuous = {}
-    for spec in config.continuous():
-        try:
-            continuous[spec.name] = continuous_summary(records, spec.name)
-        except StatsError as exc:
-            warnings.append(f"profile: {exc}")
+    continuous = {spec.name: summary for spec in config.continuous()
+                  if (summary := degrade(continuous_summary, records, spec.name)) is not None}
 
     share = None
     if config.flags():  # the one flag a config may hold is self_citation
@@ -384,40 +388,28 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
         else:
             warnings.append("profile: self-citation flags never derived")
 
-    shape = None
-    importance = None
+    shape = importance = None
     comparisons: dict[str, ComparisonResult] = {}
     group_tops: dict[str, GroupTop] = {}
     authors: tuple[AuthorScore, ...] = ()
-
     if config.algorithm == "refset":
-        for spec in config.attributes:
-            if spec.role == "grouping":
-                group_tops[spec.name] = top_reference_per_group(records, spec.name, qt)
+        group_tops = {spec.name: top_reference_per_group(records, spec.name, qt)
+                      for spec in config.attributes if spec.role == "grouping"}
         authors = top_authors(records, config.author_k,
                               score_mode=config.author_score_mode)
     else:
-        try:
-            shape = continuous_summary(records, config.dominating)
-        except StatsError as exc:
-            warnings.append(f"profile: {exc}")
+        shape = degrade(continuous_summary, records, config.dominating)
         listed = [spec.name for spec in config.listed()]
-        try:
-            importance = feature_importance(records, config.dominating, listed)
-        except StatsError as exc:
-            warnings.append(f"profile: {exc}")
-        for attribute, dist in distributions.items():
-            if attribute not in listed or not dist.entries:
-                continue
-            top_value = dist.entries[0].value
+        importance = degrade(feature_importance, records, config.dominating, listed)
+        for attribute in listed:   # prodset lists only categorical attributes
+            top_value = distributions[attribute].entries[0].value
             subset = [r for r, v in zip(records, _column(records, attribute))
                       if _category(v) == top_value]
-            try:
-                comparisons[attribute] = subset_vs_superset(
-                    subset, records, config.dominating, config.comparison_bands,
-                    attribute=attribute, feature_value=top_value)
-            except StatsError as exc:
-                warnings.append(f"profile: {attribute}: {exc}")
+            comparison = degrade(subset_vs_superset, subset, records, config.dominating,
+                                 config.comparison_bands, attribute=attribute,
+                                 feature_value=top_value, prefix=f"{attribute}: ")
+            if comparison is not None:
+                comparisons[attribute] = comparison
 
     return SetProfile(
         total=len(records),
@@ -432,6 +424,11 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
     )
 
 
+def _summary_line(kind: str, s: ContinuousSummary) -> str:
+    return (f"{kind}\t{s.attribute}\tmin={s.minimum!r}\tmax={s.maximum!r}"
+            f"\tmedian={s.median!r}\tcount={s.count}")
+
+
 def profile_to_text(profile: SetProfile) -> str:
     """Stable line-oriented dump of a profile, for inspection and testing."""
     lines = [f"total\t{profile.total}"]
@@ -441,14 +438,9 @@ def profile_to_text(profile: SetProfile) -> str:
         lines.append(f"distribution\t{dist.attribute}\ttotal={dist.total}")
         for e in dist.entries:
             lines.append(f"entry\t{e.value}\t{e.count}\t{e.proportion!r}\t{e.bucket.label}")
-    for summary in profile.continuous.values():
-        lines.append(
-            f"continuous\t{summary.attribute}\tmin={summary.minimum!r}"
-            f"\tmax={summary.maximum!r}\tmedian={summary.median!r}\tcount={summary.count}")
+    lines += [_summary_line("continuous", summary) for summary in profile.continuous.values()]
     if profile.dominating_shape is not None:
-        s = profile.dominating_shape
-        lines.append(f"shape\t{s.attribute}\tmin={s.minimum!r}\tmax={s.maximum!r}"
-                     f"\tmedian={s.median!r}\tcount={s.count}")
+        lines.append(_summary_line("shape", profile.dominating_shape))
     for top in profile.group_tops.values():
         lines.append(f"group_top\t{top.group_attribute}")
         for e in top.entries:

@@ -313,6 +313,44 @@ def test_missing_template_pack_exit_two(capsys, data_dir, tmp_path, command, tex
     assert err.count("configuration error") == 1
 
 
+def _count_pack_loads(monkeypatch) -> list[str]:
+    """Record each call of the two pack loaders the CLI calls."""
+    import refsum.cli
+
+    calls: list[str] = []
+    for name in ("default_pack", "load_template_pack"):
+        def counted(*args, _real=getattr(refsum.cli, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(refsum.cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("own_pack", [False, True], ids=["default", "templates"])
+def test_compare_loads_the_template_pack_once(capsys, data_dir, tmp_path, monkeypatch,
+                                              own_pack):
+    calls = _count_pack_loads(monkeypatch)
+    flags = []
+    if own_pack:
+        (tmp_path / "own.pack").write_text(DEFAULT_PACK_TEXT)
+        flags = ["--templates", str(tmp_path / "own.pack")]
+    code, out, _ = _run(capsys, "compare", str(data_dir / "fixture20.bib"),
+                        *FIXTURE_ARGS, *flags)
+    assert code == 0
+    assert out == (data_dir / "golden" / "compare_full.txt").read_text()
+    assert calls == (["load_template_pack"] if own_pack else ["default_pack"])
+
+
+@pytest.mark.parametrize("emit", ["plan", "profile"])
+def test_plan_and_profile_dumps_load_no_template_pack(capsys, data_dir, tmp_path,
+                                                      monkeypatch, emit):
+    calls = _count_pack_loads(monkeypatch)
+    code, _, _ = _run(capsys, "summarize", str(data_dir / "fixture20.bib"), *FIXTURE_ARGS,
+                      "--emit", emit, "--templates", str(tmp_path / "absent.pack"))
+    assert code == 0
+    assert calls == []
+
+
 def test_cache_dir_env_override(capsys, data_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("REFSUM_CACHE_DIR", str(tmp_path))
     code, _, _ = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),

@@ -319,3 +319,52 @@ def test_http_provider_transport_failure_raises_provider_error(session):
                                      session=session)
     with pytest.raises(ProviderError):
         provider.resolve("T", "Smith", 2014)
+
+
+class _StubResponse:
+    def __init__(self, body):
+        self._body = body
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self._body
+
+
+class _StubSession:
+    """Answers every search with one fixed JSON body, without a socket."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def get(self, url, params=None, timeout=None):
+        return _StubResponse(self.body)
+
+
+@pytest.mark.parametrize("body", [[], "text", {"data": 5}, {"data": None}, {"data": {}},
+                                  {"data": [None]}, {"data": [{"title": "T"}, "T"]}],
+                         ids=["list", "string", "data-int", "data-null", "data-object",
+                              "hit-null", "hit-string"])
+def test_http_provider_response_of_the_wrong_shape_is_a_provider_error(body):
+    provider = ScholarLookupProvider(session=_StubSession(body))
+    with pytest.raises(ProviderError, match="malformed response"):
+        provider.resolve("T", "Smith", 2014)
+    records, report = enrich_citation_counts([_record("a", "T")], provider)
+    assert records[0].citation_count is None
+    assert report.failures == [("a", "lookup failed for 'T': malformed response")]
+
+
+@pytest.mark.parametrize("count, expected", [
+    (3, 3), (0, 0), (True, None), (False, None), (-1, None), (3.0, None), ("3", None),
+    (None, None),
+])
+def test_http_provider_accepts_only_a_non_negative_int_count(count, expected):
+    body = {"data": [{"title": "T", "year": 2014, "citationCount": count}]}
+    provider = ScholarLookupProvider(session=_StubSession(body))
+    assert provider.resolve("T", "Smith", 2014) == expected
+
+
+def test_http_provider_without_data_finds_nothing():
+    provider = ScholarLookupProvider(session=_StubSession({"total": 0}))
+    assert provider.resolve("T", "Smith", 2014) is None

@@ -9,8 +9,9 @@ from refsum import (AuthorList, CategoricalQuant, CitingPaper, CombinedYearSelfC
                     ConfigError, DominatingShape, FeatureWithComparison, GroupTopList,
                     IntroWithLeadAttribute, PlanningError, ReferenceRecord,
                     build_prodset_plan, build_refset_plan, build_profile,
-                    default_prodset_config, default_refset_config, plan_to_text)
+                    default_prodset_config, default_refset_config, plan_to_text, realize)
 from refsum.config import AttributeSpec
+from refsum.templates import default_pack
 
 
 @pytest.fixture
@@ -122,6 +123,16 @@ def test_refset_zero_selfcitation_share_still_planned(fixture20_paper):
     plan = build_refset_plan(profile, default_refset_config())
     years = next(p for p in plan.paragraphs if p.label == "years")
     assert years.message.share == 0.0
+
+
+def test_refset_plans_a_listed_continuous_attribute_as_its_range(fixture20_paper):
+    config = default_refset_config(attributes=(_LEAD, AttributeSpec("year", "continuous",
+                                                                    "listed")))
+    plan = build_refset_plan(build_profile(fixture20_paper, config), config)
+    assert [p.label for p in plan.paragraphs] == ["intro", "year", "authors"]
+    assert "message\tContinuousRange\tattribute=year" in plan_to_text(plan).splitlines()
+    assert realize(plan, default_pack()).paragraphs[1] == \
+        "The year ranges from 1998 to 2015, centred on 2011."
 
 
 def test_refset_missing_fragment_names_it(refset_profile):

@@ -31,6 +31,9 @@ def test_name_particles_fold_into_family():
     name = parse_person_names("Ludwig van Beethoven")[0]
     assert name.family == "van Beethoven"
     assert name.given == "Ludwig"
+    # one token, or only particles: every token is the family
+    assert parse_person_names("Plato") == [PersonName(family="Plato")]
+    assert parse_person_names("van der") == [PersonName(family="van der")]
 
 
 def test_and_split_and_others():
