@@ -5,7 +5,7 @@ Pipeline: parse (`bibtex`, `records`) -> enrich (`enrich`) -> statistics
 by the `cli` module.
 """
 
-from .bibtex import ParseIssue, RawEntry, parse_bibtex, scan_bibtex, serialize_entries
+from .bibtex import ParseIssue, RawEntry, parse_bibtex, scan_bibtex
 from .config import (AttributeSpec, ComparisonBands, QuantifierThresholds,
                      SummaryConfig, default_prodset_config, default_refset_config)
 from .enrich import (CitationProvider, CountCache, EnrichmentReport,

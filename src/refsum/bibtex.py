@@ -353,15 +353,3 @@ def parse_bibtex(text: str) -> list[RawEntry]:
     entries, issues = scan_bibtex(text)
     raise_first_error(issues)
     return entries
-
-
-def serialize_entries(entries: list[RawEntry]) -> str:
-    """Write entries back out as BibTeX; inverse of parsing up to layout."""
-    blocks = []
-    for entry in entries:
-        lines = [f"@{entry.entry_kind}{{{entry.cite_key},"]
-        for name, value in entry.fields.items():
-            lines.append(f"  {name} = {{{value}}},")
-        lines.append("}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")

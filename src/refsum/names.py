@@ -9,8 +9,7 @@ the key ``smith.j``. Anything finer would need real author disambiguation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 # Lowercase tokens folded into the family name in "Given ... Family" form,
 # so "Ludwig van Beethoven" keeps "van Beethoven" as the family.
@@ -26,15 +25,17 @@ _AND_SPLIT = re.compile(r"\s+and\s+")
 class PersonName:
     family: str
     given: str = ""
+    # Lowercased family plus first given initial, e.g. ``smith.j``; set once
+    # when the name is built, and left out of equality, hashing and repr.
+    normalized_key: str = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def normalized_key(self) -> str:
-        """Lowercased family plus first given initial, e.g. ``smith.j``."""
-        family = " ".join(self.family.lower().split())
+    def __post_init__(self) -> None:
+        key = " ".join(self.family.lower().split())
         for ch in self.given:
             if ch.isalnum():
-                return f"{family}.{ch.lower()}"
-        return family
+                key = f"{key}.{ch.lower()}"
+                break
+        object.__setattr__(self, "normalized_key", key)
 
     def display(self) -> str:
         if self.given:

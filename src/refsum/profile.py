@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import attrgetter
 from typing import Any
 
 from .config import ComparisonBands, QuantifierThresholds, SummaryConfig
@@ -121,17 +122,6 @@ class SetProfile:
 
 # -- record access ------------------------------------------------------------
 
-def _column(records: Sequence[Any], attribute: str) -> list[Any]:
-    """The attribute's value on every record, None where it is absent.
-
-    Mapping or attribute access is decided once per record type, so one set
-    may mix mappings and objects.
-    """
-    is_mapping = {kind: issubclass(kind, Mapping) for kind in set(map(type, records))}
-    return [record.get(attribute) if is_mapping[type(record)]
-            else getattr(record, attribute, None) for record in records]
-
-
 def _category(value: Any) -> str:
     if value is None:
         return UNKNOWN
@@ -146,6 +136,58 @@ def _number(value: Any) -> float | int | None:
     return value
 
 
+class _Columns:
+    """The attribute columns of one record set, each read once and mapped
+    through ``_number`` or ``_category`` once.
+
+    Mapping or attribute access is decided once per record type, so one set
+    may mix mappings and objects. One ``_Columns`` lives for a single public
+    statistic or ``build_profile`` call, so a record changed between calls is
+    read afresh; nothing is kept on the records or in this module.
+    """
+
+    def __init__(self, records: Sequence[Any]) -> None:
+        self.records = records
+        self._is_mapping = {kind: issubclass(kind, Mapping) for kind in set(map(type, records))}
+        self._raw: dict[str, list[Any]] = {}
+        self._numbers: dict[str, list[float | int | None]] = {}
+        self._categories: dict[str, list[str]] = {}
+
+    def raw(self, attribute: str) -> list[Any]:
+        """The attribute's value on every record, None where it is absent."""
+        if attribute not in self._raw:
+            self._raw[attribute] = self._read(attribute)
+        return self._raw[attribute]
+
+    def _read(self, attribute: str) -> list[Any]:
+        is_mapping = self._is_mapping
+        if not any(is_mapping.values()):
+            try:   # every record has the attribute, as every ReferenceRecord does
+                return list(map(attrgetter(attribute), self.records))
+            except AttributeError:
+                pass
+        return [record.get(attribute) if is_mapping[type(record)]
+                else getattr(record, attribute, None) for record in self.records]
+
+    def numbers(self, attribute: str) -> list[float | int | None]:
+        """``_number`` of each value; a plain int or float passes as it is."""
+        if attribute not in self._numbers:
+            self._numbers[attribute] = [
+                v if (kind := type(v)) is int or kind is float else _number(v)
+                for v in self.raw(attribute)]
+        return self._numbers[attribute]
+
+    def present(self, attribute: str) -> list[float | int]:
+        return [v for v in self.numbers(attribute) if v is not None]
+
+    def categories(self, attribute: str) -> list[str]:
+        """``_category`` of each value; a plain str passes as it is."""
+        if attribute not in self._categories:
+            self._categories[attribute] = [v if type(v) is str else _category(v)
+                                           for v in self.raw(attribute)]
+        return self._categories[attribute]
+
+
 def _median(values: Sequence[float]) -> float:
     ordered = sorted(values)
     n = len(ordered)
@@ -155,6 +197,10 @@ def _median(values: Sequence[float]) -> float:
 
 
 # -- operations ---------------------------------------------------------------
+#
+# Each public statistic checks its arguments and runs its ``_`` twin on the
+# columns of its own records; ``build_profile`` runs the twins on one shared
+# ``_Columns``.
 
 def quantifier_for(proportion: float,
                    thresholds: QuantifierThresholds = _DEFAULT_QT) -> Quantifier:
@@ -179,8 +225,13 @@ def categorical_distribution(records: Sequence[Any], attribute: str,
     """
     if not records:
         raise EmptySetError("empty set")
-    counts = Counter(map(_category, _column(records, attribute)))
-    total = len(records)
+    return _distribution(_Columns(records), attribute, thresholds)
+
+
+def _distribution(cols: _Columns, attribute: str,
+                  thresholds: QuantifierThresholds) -> CategoricalDistribution:
+    counts = Counter(cols.categories(attribute))
+    total = len(cols.records)
     entries = tuple(
         DistributionEntry(value=value, count=count, proportion=count / total,
                           bucket=quantifier_for(count / total, thresholds))
@@ -193,7 +244,11 @@ def continuous_summary(records: Sequence[Any], attribute: str) -> ContinuousSumm
     """Range and median over the records where the attribute is present."""
     if not records:
         raise EmptySetError("empty set")
-    values = [v for v in map(_number, _column(records, attribute)) if v is not None]
+    return _continuous(_Columns(records), attribute)
+
+
+def _continuous(cols: _Columns, attribute: str) -> ContinuousSummary:
+    values = cols.present(attribute)
     if not values:
         raise StatsError(f"attribute fully absent: {attribute}")
     return ContinuousSummary(attribute=attribute, minimum=min(values),
@@ -211,14 +266,19 @@ def top_reference_per_group(records: Sequence[Any], group_attribute: str,
     """
     if not records:
         raise EmptySetError("empty set")
+    return _group_top(_Columns(records), group_attribute, thresholds)
+
+
+def _group_top(cols: _Columns, group_attribute: str,
+               thresholds: QuantifierThresholds) -> GroupTop:
     groups: dict[str, list[int]] = {}
-    for i, value in enumerate(_column(records, group_attribute)):
+    for i, value in enumerate(cols.raw(group_attribute)):
         if value is not None:
             groups.setdefault(str(value), []).append(i)
-    counts = [_number(v) for v in _column(records, "citation_count")]
-    years = [_number(v) for v in _column(records, "year")]
-    titles = ["" if v is None else str(v) for v in _column(records, "title")]
-    ids = ["" if v is None else str(v) for v in _column(records, "id")]
+    counts = cols.numbers("citation_count")
+    years = cols.numbers("year")
+    titles = ["" if v is None else str(v) for v in cols.raw("title")]
+    ids = ["" if v is None else str(v) for v in cols.raw("id")]
 
     def rank(i: int) -> tuple:
         count, year = counts[i], years[i]
@@ -227,7 +287,7 @@ def top_reference_per_group(records: Sequence[Any], group_attribute: str,
                 year if year is not None else math.inf,  # then the earlier year
                 titles[i], ids[i])
 
-    total = len(records)
+    total = len(cols.records)
     entries = []
     for value, members in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
         top = min(members, key=rank)
@@ -254,29 +314,47 @@ def top_authors(records: Sequence[Any], k: int = SummaryConfig.author_k, *,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    scores: dict[str, int] = {}
-    papers: dict[str, int] = {}
-    counted: dict[str, int] = {}
-    variants: dict[str, list[PersonName]] = {}
-    counts = map(_number, _column(records, "citation_count"))
-    for authors, count in zip(_column(records, "authors"), counts):
+    return _top_authors(_Columns(records), k, score_mode)
+
+
+class _Tally:
+    """One author key's running figures in ``_top_authors``."""
+
+    __slots__ = ("score", "papers", "counted", "variants", "last")
+
+    def __init__(self) -> None:
+        self.score = self.papers = self.counted = 0
+        self.variants: list[PersonName] = []
+        self.last = -1   # index of the last record that listed the key
+
+
+def _top_authors(cols: _Columns, k: int, score_mode: str) -> tuple[AuthorScore, ...]:
+    tallies: dict[str, _Tally] = {}
+    take_max = score_mode == "max"
+    columns = zip(cols.raw("authors"), cols.numbers("citation_count"))
+    for i, (authors, count) in enumerate(columns):
         contribution = int(count) if count is not None else 0
-        for key, author in {a.normalized_key: a for a in authors or ()}.items():
-            if score_mode == "max":
-                scores[key] = max(scores.get(key, 0), contribution)
+        for author in authors or ():
+            key = author.normalized_key
+            tally = tallies.get(key)
+            if tally is None:
+                tally = tallies[key] = _Tally()
+            elif tally.last == i:   # one record lists the key twice: its last variant stands
+                tally.variants[-1] = author
+                continue
+            tally.last = i
+            if take_max:
+                tally.score = max(tally.score, contribution)
             else:
-                scores[key] = scores.get(key, 0) + contribution
-            papers[key] = papers.get(key, 0) + 1
-            if count is not None:
-                counted[key] = counted.get(key, 0) + 1
-            variants.setdefault(key, []).append(author)
-    def display(key: str) -> PersonName:
-        return min(variants[key], key=lambda p: (-len(p.given), p.family, p.given))
-    ranked = sorted(scores, key=lambda key: (-scores[key], -papers[key], key))
+                tally.score += contribution
+            tally.papers += 1
+            tally.counted += count is not None
+            tally.variants.append(author)
+    ranked = sorted(tallies.items(), key=lambda kv: (-kv[1].score, -kv[1].papers, kv[0]))
     return tuple(
-        AuthorScore(author=display(key), score=scores[key],
-                    paper_count=papers[key], counted_papers=counted.get(key, 0))
-        for key in ranked[:k]
+        AuthorScore(author=min(t.variants, key=lambda p: (-len(p.given), p.family, p.given)),
+                    score=t.score, paper_count=t.papers, counted_papers=t.counted)
+        for _key, t in ranked[:k]
     )
 
 
@@ -289,8 +367,13 @@ def feature_importance(records: Sequence[Any], dominating_attribute: str,
     categories holding at least two records with a present dominating value;
     0 when the overall range collapses.
     """
-    dominating = [_number(v) for v in _column(records, dominating_attribute)]
-    overall = [v for v in dominating if v is not None]
+    return _importance(_Columns(records), dominating_attribute, candidate_attributes)
+
+
+def _importance(cols: _Columns, dominating_attribute: str,
+                candidate_attributes: Sequence[str]) -> tuple[tuple[str, float], ...]:
+    dominating = cols.numbers(dominating_attribute)
+    overall = cols.present(dominating_attribute)
     if len(overall) < 2:
         raise StatsError(
             f"dominating attribute {dominating_attribute!r} present on fewer than 2 records")
@@ -298,9 +381,9 @@ def feature_importance(records: Sequence[Any], dominating_attribute: str,
     ranking = []
     for attribute in candidate_attributes:
         groups: dict[str, list[float]] = {}
-        for value, category in zip(dominating, _column(records, attribute)):
+        for value, category in zip(dominating, cols.categories(attribute)):
             if value is not None:
-                groups.setdefault(_category(category), []).append(value)
+                groups.setdefault(category, []).append(value)
         medians = [_median(vals) for vals in groups.values()
                    if len(vals) >= 2]
         if denominator > 0 and medians:
@@ -318,9 +401,13 @@ def subset_vs_superset(subset_records: Sequence[Any], superset_records: Sequence
                        *, attribute: str = "", feature_value: str = "",
                        ) -> ComparisonResult:
     """Vague comparison of a subset's dominating median against its superset's."""
-    sub_values, sup_values = (
-        [v for v in map(_number, _column(records, dominating_attribute)) if v is not None]
-        for records in (subset_records, superset_records))
+    return _compare(_Columns(subset_records).present(dominating_attribute),
+                    _Columns(superset_records).present(dominating_attribute),
+                    dominating_attribute, bands, attribute, feature_value)
+
+
+def _compare(sub_values: list[float], sup_values: list[float], dominating_attribute: str,
+             bands: ComparisonBands, attribute: str, feature_value: str) -> ComparisonResult:
     if not sub_values or not sup_values:
         raise StatsError(f"no {dominating_attribute!r} values to compare")
     m_sub = _median(sub_values)
@@ -348,8 +435,12 @@ def self_citation_share(records: Sequence[Any]) -> float:
     """Fraction of records flagged as self-citations (absent flags count no)."""
     if not records:
         raise EmptySetError("empty set")
-    flagged = sum(1 for v in _column(records, "self_citation") if v is True)
-    return flagged / len(records)
+    return _self_citation_share(_Columns(records))
+
+
+def _self_citation_share(cols: _Columns) -> float:
+    flagged = sum(1 for v in cols.raw("self_citation") if v is True)
+    return flagged / len(cols.records)
 
 
 # -- assembly -----------------------------------------------------------------
@@ -360,6 +451,7 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
 
     Per-attribute gaps (a fully absent column, say) degrade to absent
     fragments with a warning; only an empty reference list is an error.
+    Each attribute column is read once per call, whatever reads it.
     """
     if warnings is None:
         warnings = []
@@ -367,24 +459,25 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
     if not records:
         raise EmptySetError("the reference list is empty")
     qt = config.quantifier_thresholds
+    cols = _Columns(records)
 
-    def degrade(statistic, *args, prefix: str = "", **kwargs):
+    def degrade(statistic, *args, prefix: str = ""):
         """The statistic's result, or None and a warning when it raises StatsError."""
         try:
-            return statistic(*args, **kwargs)
+            return statistic(*args)
         except StatsError as exc:
             warnings.append(f"profile: {prefix}{exc}")
             return None
 
-    distributions = {spec.name: categorical_distribution(records, spec.name, qt)
+    distributions = {spec.name: _distribution(cols, spec.name, qt)
                      for spec in config.categorical()}
     continuous = {spec.name: summary for spec in config.continuous()
-                  if (summary := degrade(continuous_summary, records, spec.name)) is not None}
+                  if (summary := degrade(_continuous, cols, spec.name)) is not None}
 
     share = None
     if config.flags():  # the one flag a config may hold is self_citation
-        if any(v is not None for v in _column(records, "self_citation")):
-            share = self_citation_share(records)
+        if any(v is not None for v in cols.raw("self_citation")):
+            share = _self_citation_share(cols)
         else:
             warnings.append("profile: self-citation flags never derived")
 
@@ -393,21 +486,22 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
     group_tops: dict[str, GroupTop] = {}
     authors: tuple[AuthorScore, ...] = ()
     if config.algorithm == "refset":
-        group_tops = {spec.name: top_reference_per_group(records, spec.name, qt)
+        group_tops = {spec.name: _group_top(cols, spec.name, qt)
                       for spec in config.attributes if spec.role == "grouping"}
-        authors = top_authors(records, config.author_k,
-                              score_mode=config.author_score_mode)
+        authors = _top_authors(cols, config.author_k, config.author_score_mode)
     else:
-        shape = degrade(continuous_summary, records, config.dominating)
+        dominating = config.dominating
+        shape = degrade(_continuous, cols, dominating)
         listed = [spec.name for spec in config.listed()]
-        importance = degrade(feature_importance, records, config.dominating, listed)
+        importance = degrade(_importance, cols, dominating, listed)
+        superset = cols.present(dominating)
         for attribute in listed:   # prodset lists only categorical attributes
             top_value = distributions[attribute].entries[0].value
-            subset = [r for r, v in zip(records, _column(records, attribute))
-                      if _category(v) == top_value]
-            comparison = degrade(subset_vs_superset, subset, records, config.dominating,
-                                 config.comparison_bands, attribute=attribute,
-                                 feature_value=top_value, prefix=f"{attribute}: ")
+            subset = [v for v, c in zip(cols.numbers(dominating), cols.categories(attribute))
+                      if c == top_value and v is not None]
+            comparison = degrade(_compare, subset, superset, dominating,
+                                 config.comparison_bands, attribute, top_value,
+                                 prefix=f"{attribute}: ")
             if comparison is not None:
                 comparisons[attribute] = comparison
 

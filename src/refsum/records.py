@@ -309,56 +309,93 @@ def _typed(obj: dict, key: str, kind: type, default, rid: str, warnings: list[st
     return default
 
 
+_JSON_SPACE = " \t\r"   # JSON whitespace, bar the newline that ends a line
+_decode = json.JSONDecoder().raw_decode
+
+
+def _json_error(line: str, exc: json.JSONDecodeError) -> str:
+    """The message ``json.loads(line)`` gives, which checks for a BOM first."""
+    if line.startswith("\ufeff"):
+        return "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    return exc.msg
+
+
 def load_record_lines(text: str, warnings: list[str] | None = None) -> list[ReferenceRecord]:
     """Read one reference object per line, fields named as in ReferenceRecord.
 
-    A line whose ``id`` an earlier line already holds is dropped with a warning.
+    Lines end at ``\n`` only; a trailing ``\r`` is JSON whitespace. A line
+    whose ``id`` an earlier line already holds is dropped with a warning.
+
+    Each line is decoded as ``json.loads`` would, with the same error texts.
+    A field of the right JSON type costs one type test; ``_typed`` runs only
+    for one that fails it, and gives the warnings in field order.
     """
     if warnings is None:
         warnings = []
     records = []
     first_line: dict[str, int] = {}
     memo: dict[str | tuple[str, str], tuple[PersonName, ...]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        body = line.lstrip(_JSON_SPACE)
+        if not body or body.isspace():
             continue
         try:
-            obj = json.loads(line)
+            obj, end = _decode(body)
         except json.JSONDecodeError as exc:
-            raise RecordFileError(f"line {lineno}: not a valid record object ({exc.msg})")
-        if not isinstance(obj, dict):
+            raise RecordFileError(f"line {lineno}: not a valid record object "
+                                  f"({_json_error(line, exc)})")
+        if end != len(body) and body[end:].strip(_JSON_SPACE):
+            raise RecordFileError(f"line {lineno}: not a valid record object (Extra data)")
+        if type(obj) is not dict:
             raise RecordFileError(f"line {lineno}: expected an object")
-        rid = _typed(obj, "id", str, None, f"r{lineno}", warnings) or f"r{lineno}"
+        get = obj.get
+        rid = get("id")
+        if type(rid) is not str:
+            rid = _typed(obj, "id", str, None, f"r{lineno}", warnings)
+        rid = rid or f"r{lineno}"
         if rid in first_line:
             warnings.append(f"{rid}: duplicate id (first on line {first_line[rid]}), dropped")
             continue
         first_line[rid] = lineno
-        names = _typed(obj, "authors", list, (), rid, warnings)
-        authors = tuple(n for item in names for n in _names_from_json(item, rid, warnings, memo))
-        year = obj.get("year")
-        if year is not None:
-            if not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:
-                warnings.append(f"{rid}: year {year!r} out of range, dropped")
-                year = None
-        venue_type = _typed(obj, "venue_type", str, None, rid, warnings) or "other"
-        if venue_type not in VENUE_TYPES:
-            warnings.append(f"{rid}: unknown venue type {venue_type!r} mapped to 'other'")
-            venue_type = "other"
-        count = obj.get("citation_count")
-        if count is not None and (isinstance(count, bool) or not isinstance(count, int)
-                                  or count < 0):
+        items = get("authors", ())
+        if type(items) is not list:
+            items = _typed(obj, "authors", list, (), rid, warnings)
+        authors = []
+        for item in items:
+            names = memo.get(item) if type(item) is str else None
+            if names is not None and len(names) == 1:
+                authors.append(names[0])
+            else:
+                authors += _names_from_json(item, rid, warnings, memo)
+        year = get("year")
+        if year is not None and (type(year) is not int or not YEAR_MIN <= year <= YEAR_MAX):
+            warnings.append(f"{rid}: year {year!r} out of range, dropped")
+            year = None
+        venue_type = get("venue_type")
+        if type(venue_type) is not str or venue_type not in VENUE_TYPES:
+            venue_type = _typed(obj, "venue_type", str, None, rid, warnings) or "other"
+            if venue_type not in VENUE_TYPES:
+                warnings.append(f"{rid}: unknown venue type {venue_type!r} mapped to 'other'")
+                venue_type = "other"
+        count = get("citation_count")
+        if count is not None and (type(count) is not int or count < 0):
             warnings.append(f"{rid}: invalid citation count {count!r}, dropped")
             count = None
-        records.append(ReferenceRecord(
-            id=rid,
-            title=_typed(obj, "title", str, "", rid, warnings),
-            authors=authors,
-            year=year,
-            venue_name=_typed(obj, "venue_name", str, "", rid, warnings),
-            venue_type=venue_type,
-            domain=_typed(obj, "domain", str, None, rid, warnings),
-            subdomain=_typed(obj, "subdomain", str, None, rid, warnings),
-            citation_count=count,
-            self_citation=_typed(obj, "self_citation", bool, None, rid, warnings),
-        ))
+        title = get("title", "")
+        if type(title) is not str:
+            title = _typed(obj, "title", str, "", rid, warnings)
+        venue_name = get("venue_name", "")
+        if type(venue_name) is not str:
+            venue_name = _typed(obj, "venue_name", str, "", rid, warnings)
+        domain = get("domain")
+        if domain is not None and type(domain) is not str:
+            domain = _typed(obj, "domain", str, None, rid, warnings)
+        subdomain = get("subdomain")
+        if subdomain is not None and type(subdomain) is not str:
+            subdomain = _typed(obj, "subdomain", str, None, rid, warnings)
+        flag = get("self_citation")
+        if flag is not None and type(flag) is not bool:
+            flag = _typed(obj, "self_citation", bool, None, rid, warnings)
+        records.append(ReferenceRecord(rid, title, tuple(authors), year, venue_name,
+                                       venue_type, domain, subdomain, count, flag))
     return records

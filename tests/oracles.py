@@ -1,4 +1,4 @@
-"""Brute-force reference implementations used to check the statistics.
+"""Brute-force reference implementations used to check the library.
 
 These deliberately avoid the library's own code paths: plain loops, the
 statistics module, and exhaustive scans. Keep them dumb.
@@ -6,10 +6,15 @@ statistics module, and exhaustive scans. Keep them dumb.
 
 from __future__ import annotations
 
+import json
 import re
 import statistics
 import unicodedata
 from collections.abc import Mapping
+
+from refsum import PersonName, ReferenceRecord, parse_person_names
+from refsum.errors import RecordFileError
+from refsum.records import VENUE_TYPES, YEAR_MAX, YEAR_MIN
 
 
 def get(record, attribute):
@@ -60,6 +65,25 @@ def brute_top_authors(records, k):
             papers[a.normalized_key] = papers.get(a.normalized_key, 0) + 1
     order = sorted(scores, key=lambda key: (-scores[key], -papers[key], key))
     return [(key, scores[key], papers[key]) for key in order[:k]]
+
+
+def brute_author_names(records):
+    """key -> (displayed name, papers with a count). A record that lists a key
+    twice offers its last variant; the longest given name wins, then family
+    and given in order."""
+    offered = {}
+    counted = {}
+    for r in records:
+        last = {}
+        for a in get(r, "authors") or ():
+            last[a.normalized_key] = a
+        for key, a in last.items():
+            offered.setdefault(key, []).append(a)
+            if get(r, "citation_count") is not None:
+                counted[key] = counted.get(key, 0) + 1
+    return {key: (sorted(names, key=lambda p: (-len(p.given), p.family, p.given))[0],
+                  counted.get(key, 0))
+            for key, names in offered.items()}
 
 
 def brute_group_tops(records, attribute):
@@ -168,3 +192,95 @@ def brute_name_clean(part):
 
 def brute_family_key(family):
     return re.sub(r"\s+", " ", family.strip().lower())
+
+
+def serialize_entries(entries):
+    """Write entries back out as BibTeX; inverse of parsing up to layout."""
+    blocks = []
+    for entry in entries:
+        lines = [f"@{entry.entry_kind}{{{entry.cite_key},"]
+        for name, value in entry.fields.items():
+            lines.append(f"  {name} = {{{value}}},")
+        lines.append("}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + ("\n" if blocks else "")
+
+
+# The record-file loader the plain way: `json.loads` on each line, `_typed`
+# for every field, keyword construction. Lines end at `\n` only.
+def _brute_names_from_json(value, rid, warnings, memo):
+    if isinstance(value, str):
+        names = memo.get(value)
+        if names is None:
+            names = memo[value] = tuple(parse_person_names(value))
+        if len(names) > 1:
+            warnings.append(f"{rid}: author item {value!r} holds {len(names)} names, split")
+        if names:
+            return names
+    elif (isinstance(value, dict) and isinstance(family := value.get("family"), str)
+          and family and isinstance(given := value.get("given"), str | None)):
+        pair = (family, given or "")
+        names = memo.get(pair)
+        if names is None:
+            names = memo[pair] = (PersonName(*pair),)
+        return names
+    warnings.append(f"{rid}: author {value!r} is not a name, dropped")
+    return ()
+
+
+def _brute_typed(obj, key, kind, default, rid, warnings):
+    value = obj.get(key, default)
+    if key not in obj or isinstance(value, kind) or (value is None and default is None):
+        return value
+    warnings.append(f"{rid}: {key} {value!r} is not a {kind.__name__}, dropped")
+    return default
+
+
+def brute_load_record_lines(text, warnings):
+    records = []
+    first_line = {}
+    memo = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordFileError(f"line {lineno}: not a valid record object ({exc.msg})")
+        if not isinstance(obj, dict):
+            raise RecordFileError(f"line {lineno}: expected an object")
+        rid = _brute_typed(obj, "id", str, None, f"r{lineno}", warnings) or f"r{lineno}"
+        if rid in first_line:
+            warnings.append(f"{rid}: duplicate id (first on line {first_line[rid]}), dropped")
+            continue
+        first_line[rid] = lineno
+        names = _brute_typed(obj, "authors", list, (), rid, warnings)
+        authors = tuple(n for item in names
+                        for n in _brute_names_from_json(item, rid, warnings, memo))
+        year = obj.get("year")
+        if year is not None:
+            if not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:
+                warnings.append(f"{rid}: year {year!r} out of range, dropped")
+                year = None
+        venue_type = _brute_typed(obj, "venue_type", str, None, rid, warnings) or "other"
+        if venue_type not in VENUE_TYPES:
+            warnings.append(f"{rid}: unknown venue type {venue_type!r} mapped to 'other'")
+            venue_type = "other"
+        count = obj.get("citation_count")
+        if count is not None and (isinstance(count, bool) or not isinstance(count, int)
+                                  or count < 0):
+            warnings.append(f"{rid}: invalid citation count {count!r}, dropped")
+            count = None
+        records.append(ReferenceRecord(
+            id=rid,
+            title=_brute_typed(obj, "title", str, "", rid, warnings),
+            authors=authors,
+            year=year,
+            venue_name=_brute_typed(obj, "venue_name", str, "", rid, warnings),
+            venue_type=venue_type,
+            domain=_brute_typed(obj, "domain", str, None, rid, warnings),
+            subdomain=_brute_typed(obj, "subdomain", str, None, rid, warnings),
+            citation_count=count,
+            self_citation=_brute_typed(obj, "self_citation", bool, None, rid, warnings),
+        ))
+    return records

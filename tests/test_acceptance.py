@@ -10,14 +10,14 @@ import statistics
 import time
 
 from oracles import (brute_distribution, brute_group_tops, brute_importance,
-                     brute_self_citation_share, brute_top_authors)
+                     brute_self_citation_share, brute_top_authors, serialize_entries)
 from refsum import (AuthorList, CitingPaper, IntroWithLeadAttribute, PersonName,
                     Quantifier, ReferenceRecord, build_plan, build_profile,
                     build_refset_plan, categorical_distribution,
                     continuous_summary, default_prodset_config,
                     default_refset_config, feature_importance,
                     load_template_pack, parse_bibtex, quantifier_for, realize,
-                    scan_bibtex, self_citation_share, serialize_entries,
+                    scan_bibtex, self_citation_share,
                     subset_vs_superset, top_authors, top_reference_per_group)
 from refsum.cli import main
 from refsum.config import AttributeSpec

@@ -6,7 +6,8 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from refsum import BibParseError, parse_bibtex, scan_bibtex, serialize_entries
+from oracles import serialize_entries
+from refsum import BibParseError, parse_bibtex, scan_bibtex
 
 # BibTeX punctuation and block openers, plus 2-, 3- and 4-byte UTF-8 characters.
 _FRAGMENTS = ["@misc{", "@misc{k,", "@string{", "@comment{", "@", "{", "}", "(", ")", ",",

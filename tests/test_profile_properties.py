@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import random
+from copy import deepcopy
 from dataclasses import fields
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import (brute_distribution, brute_group_tops, brute_importance,
-                     brute_median, brute_self_citation_share, brute_top_authors)
-from refsum import (CitingPaper, PersonName, Quantifier, ReferenceRecord,
-                    categorical_distribution, continuous_summary,
+from oracles import (brute_author_names, brute_distribution, brute_group_tops,
+                     brute_importance, brute_median, brute_self_citation_share,
+                     brute_top_authors, get)
+from refsum import (CitingPaper, PersonName, Quantifier, ReferenceRecord, SetProfile,
+                    StatsError, categorical_distribution, continuous_summary,
                     default_prodset_config, default_refset_config,
                     feature_importance, quantifier_for,
                     self_citation_share, subset_vs_superset, top_authors,
@@ -72,6 +74,27 @@ def test_top_authors_equals_oracle(records):
     ranked = top_authors(records, 7)
     assert [(a.author.normalized_key, a.score, a.paper_count) for a in ranked] == \
         brute_top_authors(records, 7)
+
+
+# Given names that share an initial, so one key has several variants, even
+# within one record.
+_VARIANT_SETS = st.lists(st.builds(
+    lambda i, authors, count: ReferenceRecord(f"r{i}", authors=tuple(authors),
+                                              citation_count=count),
+    st.integers(min_value=0, max_value=50),
+    st.lists(st.builds(PersonName, family=st.sampled_from(["smith", "lee"]),
+                       given=st.sampled_from(["J", "J.", "Jo", "John", "K", ""])),
+             max_size=4),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=9))), min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(record_sets, _VARIANT_SETS))
+def test_top_authors_display_and_counted_papers_equal_oracle(records):
+    expected = brute_author_names(records)
+    for score in top_authors(records, 7):
+        assert (score.author, score.counted_papers) == \
+            expected[score.author.normalized_key]
 
 
 @settings(max_examples=100, deadline=None)
@@ -189,3 +212,116 @@ def test_top_lists_scale_invariant(records):
         assert [a.author.normalized_key for a in top_authors(bigger, 7)] == base_authors
         assert {e.group_value: e.top_reference
                 for e in top_reference_per_group(bigger, "subdomain").entries} == base_tops
+
+
+# -- build_profile against the public statistics --------------------------------
+
+# One categorical column holds True, 1 and 1.0, which are equal and hash alike
+# in Python but are three categories; counts and years hold bools and floats.
+_ODD_CATEGORIES = [True, 1, 1.0, "1", False, 0, None, "cs"]
+
+
+@st.composite
+def mixed_records(draw):
+    """Rows as dicts or ReferenceRecords, drawn one by one, with odd values."""
+    rows = []
+    for i in range(draw(st.integers(min_value=1, max_value=25))):
+        row = {"id": f"r{i}", "title": draw(st.sampled_from(["", "a", "b"])),
+               "authors": tuple(draw(st.lists(names, max_size=3))),
+               "year": draw(st.sampled_from([None, 1999, 2001, 2001.0, True])),
+               "venue_type": draw(st.sampled_from(_VENUES)),
+               "domain": draw(st.sampled_from(_ODD_CATEGORIES)),
+               "subdomain": draw(st.sampled_from(_GROUPS + [1, True])),
+               "citation_count": draw(st.sampled_from([None, 0, 3, 3.5, True, 10])),
+               "self_citation": draw(st.sampled_from([True, False, None, 1]))}
+        rows.append(row if draw(st.booleans()) else ReferenceRecord(**row))
+    return rows
+
+
+def _category(value):
+    if value is None:
+        return "unknown"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _profile_from_public_statistics(records, config, warnings):
+    """build_profile's fragments, each from one public statistic on the plain list."""
+    qt = config.quantifier_thresholds
+
+    def degrade(statistic, *args, prefix="", **kwargs):
+        try:
+            return statistic(*args, **kwargs)
+        except StatsError as exc:
+            warnings.append(f"profile: {prefix}{exc}")
+            return None
+
+    distributions = {s.name: categorical_distribution(records, s.name, qt)
+                     for s in config.categorical()}
+    continuous = {s.name: summary for s in config.continuous()
+                  if (summary := degrade(continuous_summary, records, s.name)) is not None}
+    share = None
+    if config.flags():
+        if any(get(r, "self_citation") is not None for r in records):
+            share = self_citation_share(records)
+        else:
+            warnings.append("profile: self-citation flags never derived")
+    shape = importance = None
+    comparisons, group_tops, authors = {}, {}, ()
+    if config.algorithm == "refset":
+        group_tops = {s.name: top_reference_per_group(records, s.name, qt)
+                      for s in config.attributes if s.role == "grouping"}
+        authors = top_authors(records, config.author_k, score_mode=config.author_score_mode)
+    else:
+        shape = degrade(continuous_summary, records, config.dominating)
+        listed = [s.name for s in config.listed()]
+        importance = degrade(feature_importance, records, config.dominating, listed)
+        for attribute in listed:
+            top_value = distributions[attribute].entries[0].value
+            subset = [r for r in records if _category(get(r, attribute)) == top_value]
+            comparison = degrade(subset_vs_superset, subset, records, config.dominating,
+                                 config.comparison_bands, attribute=attribute,
+                                 feature_value=top_value, prefix=f"{attribute}: ")
+            if comparison is not None:
+                comparisons[attribute] = comparison
+    return SetProfile(total=len(records), distributions=distributions, continuous=continuous,
+                      dominating_shape=shape, group_tops=group_tops, top_authors=authors,
+                      importance=importance, comparisons=comparisons,
+                      self_citation_share=share)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_records())
+def test_profile_of_a_mixed_set_equals_the_public_statistics(records):
+    for config in (default_refset_config(), default_prodset_config()):
+        built_warnings: list[str] = []
+        expected_warnings: list[str] = []
+        built = build_profile(CitingPaper(references=tuple(records)), config, built_warnings)
+        expected = _profile_from_public_statistics(records, config, expected_warnings)
+        assert (built, built_warnings) == (expected, expected_warnings)
+
+
+def test_true_one_and_one_point_zero_are_three_categories():
+    rows = [{"id": "a", "domain": True}, ReferenceRecord("b", domain=1),
+            {"id": "c", "domain": 1.0}, {"id": "d", "domain": 1.0}]
+    profile = build_profile(CitingPaper(references=tuple(rows)), default_prodset_config())
+    assert [(e.value, e.count) for e in profile.distributions["domain"].entries] == \
+        [("1.0", 2), ("1", 1), ("true", 1)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_records(), st.data())
+def test_each_profile_call_reads_the_records_afresh(records, data):
+    rows = [{f.name: getattr(r, f.name) for f in fields(r)} if isinstance(r, ReferenceRecord)
+            else r for r in records]
+    citing = CitingPaper(references=tuple(rows))
+    for config in (default_refset_config(), default_prodset_config()):
+        assert build_profile(citing, config) == \
+            build_profile(CitingPaper(references=tuple(deepcopy(rows))), config)
+        changed = data.draw(st.sampled_from(rows))
+        changed.update(domain=data.draw(st.sampled_from(_ODD_CATEGORIES)),
+                       citation_count=data.draw(st.sampled_from([None, 7, 2.5])),
+                       authors=(PersonName("olsen", "Q"),))
+        assert build_profile(citing, config) == \
+            build_profile(CitingPaper(references=tuple(deepcopy(rows))), config)

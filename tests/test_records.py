@@ -3,16 +3,18 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_de_latex, brute_family_key, brute_name_clean
+from oracles import (brute_de_latex, brute_family_key, brute_load_record_lines,
+                     brute_name_clean)
 from refsum import (ConfigError, PersonName, RawEntry, ReferenceRecord, StaticCountProvider,
                     de_latex, derive_self_citations, enrich_citation_counts,
                     load_record_lines, load_taxonomy, parse_person_names,
                     to_reference_record)
+from refsum.errors import RecordFileError
 from refsum.names import _clean
 
 
@@ -45,6 +47,21 @@ def test_key_is_pure_function_of_parts():
     assert PersonName("Smith", "John").normalized_key == \
         PersonName("Smith", "John").normalized_key
     assert PersonName("Wong", "").normalized_key == "wong"
+
+
+def test_the_key_field_leaves_equality_hash_repr_and_replace_as_they_were():
+    name = PersonName("Smith", "John")
+    assert name == PersonName(family="Smith", given="John")
+    assert name != PersonName("Smith", "J.")   # the same key, another name
+    assert hash(name) == hash(("Smith", "John"))
+    assert repr(name) == "PersonName(family='Smith', given='John')"
+    moved = replace(name, given="Kim")
+    assert (moved, moved.normalized_key) == (PersonName("Smith", "Kim"), "smith.k")
+    assert name.normalized_key == "smith.j"
+    with pytest.raises(TypeError):
+        PersonName("Smith", "John", "smith.j")
+    with pytest.raises(FrozenInstanceError):
+        name.normalized_key = "smith.k"
 
 
 # -- latex cleanup ---------------------------------------------------------------
@@ -431,6 +448,105 @@ def test_loading_a_file_equals_loading_each_line_alone(lines):
                 alone_warnings += line_warnings
     assert whole == alone
     assert whole_warnings == alone_warnings
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_a_line_separator_inside_a_json_string_stays_in_its_record(separator):
+    rows = [{"id": "a", "title": f"One{separator}two"}, {"title": "Three"}]
+    text = "\r\n".join(json.dumps(r, ensure_ascii=False) for r in rows) + "\r\n"
+    warnings: list[str] = []
+    records = load_record_lines(text, warnings)
+    assert [(r.id, r.title) for r in records] == [("a", f"One{separator}two"), ("r2", "Three")]
+    assert warnings == []
+
+
+@pytest.mark.parametrize("separator", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                       "\x85", "\u2028", "\u2029"])
+def test_only_a_newline_ends_a_record_line(separator):
+    with pytest.raises(RecordFileError,
+                       match=r"^line 2: not a valid record object \(Extra data\)$"):
+        load_record_lines('{"id": "a"}\n{"id": "b"}' + separator + '{"id": "c"}')
+    # a line that holds only separators is blank, and is still counted
+    [record] = load_record_lines(separator + '\n{"title": "x"}\n')
+    assert record.id == "r2"
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": "a"} x', '{"id": "a"}{}', '{"id": "a",}', "\ufeff{}", " \ufeff{}",
+    '{"id": "a', '{"id": "a\r', "[1] ",
+])
+def test_a_line_that_is_not_one_json_object_is_refused_as_json_loads_words_it(line):
+    try:
+        json.loads(line)
+        expected = "expected an object"
+    except json.JSONDecodeError as exc:
+        expected = f"not a valid record object ({exc.msg})"
+    with pytest.raises(RecordFileError, match=f"^line 1: {re.escape(expected)}$"):
+        load_record_lines(line)
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3001) | st.floats()
+                | st.text(max_size=4))
+_ANY_JSON = (_JSON_LEAVES | st.lists(_JSON_LEAVES, max_size=2)
+             | st.dictionaries(st.text(max_size=3), _JSON_LEAVES, max_size=2))
+
+
+def _any_json(leaf):
+    """``leaf`` values, or any JSON value."""
+    return leaf | _ANY_JSON
+
+
+def _record_objects(items):
+    """Record objects whose fields take every JSON type, and author items from ``items``."""
+    return st.fixed_dictionaries({}, optional={
+        "id": _any_json(st.sampled_from(["a", "b", ""])),
+        "title": _any_json(st.text(max_size=6)),
+        "authors": _any_json(st.lists(items, max_size=4)),
+        "year": _any_json(st.sampled_from([2001, 999, 3001, 2001.0, True, "2001"])),
+        "venue_name": _any_json(st.text(max_size=6)),
+        "venue_type": _any_json(st.sampled_from(["journal", "book", "other", "Journal", ""])),
+        "domain": _any_json(st.text(max_size=3)),
+        "subdomain": _any_json(st.text(max_size=3)),
+        "citation_count": _any_json(st.sampled_from([0, 5, -1, True, 2.5])),
+        "self_citation": _any_json(st.sampled_from([True, False, 1])),
+    })
+
+
+@st.composite
+def _oracle_lines(draw, items):
+    kind = draw(st.sampled_from(["record"] * 6 + ["blank", "trailing", "cut", "other"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t\r", "\x0c", "\u2028", "\x85 ", "\ufeff"]))
+    if kind == "other":
+        return json.dumps(draw(_ANY_JSON))
+    line = json.dumps(draw(_record_objects(items)), ensure_ascii=draw(st.booleans()))
+    if kind == "trailing":
+        line += draw(st.sampled_from([" x", "}", " {}", ",1", "\x0c", "\u2028"]))
+    elif kind == "cut":
+        line = line[:draw(st.integers(0, len(line)))]
+    space = st.text(alphabet=" \t\r", max_size=2)
+    return draw(st.sampled_from(["", "\ufeff"])) + draw(space) + line + draw(space)
+
+
+_ORACLE_FILES = st.lists(_AUTHOR_ITEMS, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(_oracle_lines(st.sampled_from(pool)), min_size=1, max_size=6))
+
+
+def _outcome(loader, text):
+    warnings: list[str] = []
+    try:
+        return loader(text, warnings), warnings
+    except RecordFileError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ORACLE_FILES)
+@example(['{"id": "a", "title": "x\u2028y"}\r', '\t{"authors": ["Jane Doe", "Jane Doe"]} '])
+@example(['{"year": true, "citation_count": true, "self_citation": 1}', '{"year": 2001.0}'])
+def test_loading_equals_the_plain_loader(lines):
+    text = "\n".join(lines)
+    assert _outcome(load_record_lines, text) == _outcome(brute_load_record_lines, text)
 
 
 def test_a_repeated_record_id_keeps_the_first_line_and_warns():
