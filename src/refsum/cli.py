@@ -134,7 +134,7 @@ def _merge_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_records(run: RunConfig, warnings: list[str]):
     text = _read_text(run.input_path, "input", InputError)
-    stripped = text.lstrip()
+    stripped = text.removeprefix("\ufeff").lstrip()   # as load_record_lines reads it
     is_bibtex = run.input_path.endswith(".bib") or stripped.startswith("@")
     if not is_bibtex and stripped.startswith("{"):
         return load_record_lines(text, warnings)
@@ -171,11 +171,14 @@ def _build_provider(run: RunConfig):
 def _enrich(records: list, run: RunConfig, warnings: list[str]) -> list:
     """Fill citation counts from the configured provider and cache, if any."""
     provider = _build_provider(run)
-    cache = CountCache(run.cache_dir) if run.cache_dir else None
-    if provider is None and cache is None:
+    if provider is None and not run.cache_dir:
         return records
-    records, report = enrich_citation_counts(records, provider, cache,
-                                             max_workers=run.workers)
+    try:
+        cache = CountCache(run.cache_dir) if run.cache_dir else None
+        records, report = enrich_citation_counts(records, provider, cache,
+                                                 max_workers=run.workers)
+    except OSError as exc:   # only the cache reads or writes files here
+        raise ConfigError(f"cannot use cache directory {run.cache_dir}: {exc}")
     warnings.append(report.summary())
     warnings.extend(f"{rid}: {msg}" for rid, msg in report.failures)
     return records

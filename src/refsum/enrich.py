@@ -81,29 +81,49 @@ class StaticCountProvider:
 
 
 class ScholarLookupProvider:
-    """HTTP client for a Semantic-Scholar-compatible paper search endpoint."""
+    """HTTP client for a Semantic-Scholar-compatible paper search endpoint.
+
+    Only http and https URLs are opened. Proxies come from the environment
+    (``http_proxy``, ``https_proxy``, ``no_proxy``) and https trust from the
+    system's CA store.
+    """
 
     blocking = True
 
     def __init__(self, base_url: str = "https://api.semanticscholar.org/graph/v1",
-                 timeout: float = 10.0, session=None) -> None:
-        import requests
+                 timeout: float = 10.0) -> None:
+        import urllib.request as req   # only a run that looks counts up pays for it
 
         self._base = base_url.rstrip("/")
         self._timeout = timeout
-        self._session = session or requests.Session()
+        # build_opener() would also read file: and data: URLs. UnknownHandler
+        # refuses every scheme no other handler takes; without it, open()
+        # returns None for them.
+        self._opener = req.OpenerDirector()
+        for handler in (req.ProxyHandler(), req.UnknownHandler(), req.HTTPHandler(),
+                        req.HTTPSHandler(), req.HTTPDefaultErrorHandler(),
+                        req.HTTPRedirectHandler(), req.HTTPErrorProcessor()):
+            self._opener.add_handler(handler)
 
     def resolve(self, title: str, family: str, year: int | None) -> int | None:
-        import requests
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.parse import urlencode
 
-        params = {"query": title, "fields": "title,year,citationCount", "limit": "5"}
+        query = urlencode({"query": title, "fields": "title,year,citationCount",
+                           "limit": "5"})
         try:
-            resp = self._session.get(f"{self._base}/paper/search",
-                                     params=params, timeout=self._timeout)
-            resp.raise_for_status()
-            payload = resp.json()
-        except (requests.RequestException, ValueError) as exc:
-            raise ProviderError(f"lookup failed for {title!r}: {exc}") from exc
+            with self._opener.open(f"{self._base}/paper/search?{query}",
+                                   timeout=self._timeout) as resp:
+                payload = json.loads(resp.read())
+        # OSError holds URLError, HTTPError and timeouts; BadStatusLine and the
+        # other HTTPExceptions are not OSErrors.
+        except (OSError, ValueError, HTTPException) as exc:
+            if isinstance(exc, HTTPError):
+                exc.close()   # it holds the error response open
+            # A server's text may hold a newline; the failure stays one line.
+            detail = " ".join(str(exc).split())
+            raise ProviderError(f"lookup failed for {title!r}: {detail}") from exc
         hits = payload.get("data", []) if isinstance(payload, dict) else None
         if not isinstance(hits, list) or not all(isinstance(hit, dict) for hit in hits):
             raise ProviderError(f"lookup failed for {title!r}: malformed response")

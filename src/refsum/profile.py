@@ -272,9 +272,10 @@ def top_reference_per_group(records: Sequence[Any], group_attribute: str,
 def _group_top(cols: _Columns, group_attribute: str,
                thresholds: QuantifierThresholds) -> GroupTop:
     groups: dict[str, list[int]] = {}
+    labels = cols.categories(group_attribute)   # as its distribution spells them
     for i, value in enumerate(cols.raw(group_attribute)):
         if value is not None:
-            groups.setdefault(str(value), []).append(i)
+            groups.setdefault(labels[i], []).append(i)
     counts = cols.numbers("citation_count")
     years = cols.numbers("year")
     titles = ["" if v is None else str(v) for v in cols.raw("title")]

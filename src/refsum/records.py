@@ -323,7 +323,9 @@ def _json_error(line: str, exc: json.JSONDecodeError) -> str:
 def load_record_lines(text: str, warnings: list[str] | None = None) -> list[ReferenceRecord]:
     """Read one reference object per line, fields named as in ReferenceRecord.
 
-    Lines end at ``\n`` only; a trailing ``\r`` is JSON whitespace. A line
+    Lines end at ``\n`` only; a trailing ``\r`` is JSON whitespace. One
+    byte-order mark (U+FEFF) at the start of the text is dropped; one that
+    starts a later line is refused as ``json.loads`` refuses it. A line
     whose ``id`` an earlier line already holds is dropped with a warning.
 
     Each line is decoded as ``json.loads`` would, with the same error texts.
@@ -335,7 +337,7 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
     records = []
     first_line: dict[str, int] = {}
     memo: dict[str | tuple[str, str], tuple[PersonName, ...]] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         body = line.lstrip(_JSON_SPACE)
         if not body or body.isspace():
             continue

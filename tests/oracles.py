@@ -93,7 +93,7 @@ def brute_group_tops(records, attribute):
         g = get(r, attribute)
         if g is None:
             continue
-        g = str(g)
+        g = ("true" if g else "false") if isinstance(g, bool) else str(g)
         if g not in winners:
             winners[g] = r
             continue
@@ -240,7 +240,7 @@ def brute_load_record_lines(text, warnings):
     records = []
     first_line = {}
     memo = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         if not line.strip():
             continue
         try:

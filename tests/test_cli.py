@@ -226,6 +226,15 @@ def test_jsonl_input(capsys, tmp_path):
     assert "50% are self-citations" in out
 
 
+def test_a_record_file_with_a_byte_order_mark_is_read_as_records(capsys, tmp_path):
+    path = tmp_path / "bom.jsonl"
+    path.write_text('\ufeff{"id": "a", "title": "A", "venue_type": "journal", '
+                    '"year": 2001, "self_citation": false}\n', encoding="utf-8")
+    code, out, err = _run(capsys, "summarize", str(path))
+    assert (code, err) == (0, "")
+    assert "This paper cites 1 references." in out
+
+
 def test_config_file_with_flag_override(capsys, data_dir, tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
@@ -401,6 +410,23 @@ def test_enrich_answers_from_a_cache_an_earlier_release_wrote(capsys, data_dir, 
     assert code == 0
     assert "16 from cache, 0 from provider" in err
     assert (tmp_path / "citations.tsv").read_bytes() == written
+
+
+@pytest.mark.parametrize("command", ["summarize", "compare", "enrich"])
+def test_a_cache_dir_that_cannot_be_used_is_a_configuration_error(capsys, data_dir,
+                                                                   tmp_path, command):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("x")
+    (tmp_path / "dir" / "citations.tsv").mkdir(parents=True)
+    for cache_dir in (not_a_dir, tmp_path / "dir"):
+        code, out, err = _run(capsys, command, str(data_dir / "fixture20.bib"),
+                              "--provider", "mock",
+                              "--counts", str(data_dir / "fixture20_counts.json"),
+                              "--cache-dir", str(cache_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"refsum: configuration error: "
+                              f"cannot use cache directory {cache_dir}: ")
+        assert err.count("\n") == 1
 
 
 def test_enrich_requires_provider_and_cache(capsys, data_dir, monkeypatch):

@@ -8,7 +8,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import given, settings, strategies as st
 
 from refsum import (CountCache, ProviderError, ReferenceRecord,
@@ -263,15 +262,21 @@ def test_interrupted_pass_keeps_the_counts_it_fetched(tmp_path, blocks):
 
 
 class _FakeScholarHandler(BaseHTTPRequestHandler):
-    payload: dict = {}
+    """Answers every GET with the server's ``status`` and raw ``body``, and
+    keeps each path it was asked for; a ``status`` of None sends a status
+    line that is not HTTP."""
 
     def do_GET(self):
-        body = json.dumps(self.payload).encode()
-        self.send_response(200)
+        server = self.server
+        server.paths.append(self.path)
+        if server.status is None:
+            self.wfile.write(b"GARBAGE\r\n")
+            return
+        self.send_response(server.status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(len(server.body)))
         self.end_headers()
-        self.wfile.write(body)
+        self.wfile.write(server.body)
 
     def log_message(self, *args):
         pass
@@ -280,74 +285,86 @@ class _FakeScholarHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def fake_scholar():
     server = HTTPServer(("127.0.0.1", 0), _FakeScholarHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.status, server.body, server.paths = 200, b"{}", []
+    # a short poll keeps shutdown() from waiting half a second per test
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield server
     server.shutdown()
     server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
-@pytest.fixture
-def session():
-    with requests.Session() as s:
-        yield s
+def _provider(server):
+    return ScholarLookupProvider(base_url=f"http://127.0.0.1:{server.server_address[1]}")
 
 
-def test_http_provider_matches_by_title(fake_scholar, session):
-    _FakeScholarHandler.payload = {"data": [
+def _answer(server, payload):
+    """A provider on ``server``, which answers with ``payload`` as JSON."""
+    server.body = json.dumps(payload).encode()
+    return _provider(server)
+
+
+def test_http_provider_matches_by_title(fake_scholar):
+    provider = _answer(fake_scholar, {"data": [
         {"title": "Other Work", "year": 2001, "citationCount": 9},
-        {"title": "The Exact Title", "year": 2014, "citationCount": 42},
-    ]}
-    provider = ScholarLookupProvider(
-        base_url=f"http://127.0.0.1:{fake_scholar.server_address[1]}", session=session)
-    assert provider.resolve("The Exact Title", "Smith", 2014) == 42
+        {"title": "The T", "year": 2014, "citationCount": 42},
+    ]})
+    assert provider.resolve("The T", "Smith", 2014) == 42
+    assert fake_scholar.paths == [
+        "/paper/search?query=The+T&fields=title%2Cyear%2CcitationCount&limit=5"]
 
 
-def test_http_provider_year_fallback_and_miss(fake_scholar, session):
-    _FakeScholarHandler.payload = {"data": [
+def test_http_provider_year_fallback_and_miss(fake_scholar):
+    provider = _answer(fake_scholar, {"data": [
         {"title": "Close Enough Variant", "year": 2015, "citationCount": 7},
-    ]}
-    provider = ScholarLookupProvider(
-        base_url=f"http://127.0.0.1:{fake_scholar.server_address[1]}", session=session)
+    ]})
     assert provider.resolve("Some Title", "Smith", 2014) == 7
-    _FakeScholarHandler.payload = {"data": []}
+    fake_scholar.body = b'{"data": []}'
     assert provider.resolve("Some Title", "Smith", 2014) is None
 
 
-def test_http_provider_transport_failure_raises_provider_error(session):
-    provider = ScholarLookupProvider(base_url="http://127.0.0.1:1", timeout=0.2,
-                                     session=session)
-    with pytest.raises(ProviderError):
+def test_http_provider_transport_failure_raises_provider_error():
+    provider = ScholarLookupProvider(base_url="http://127.0.0.1:1", timeout=0.2)
+    with pytest.raises(ProviderError, match="^lookup failed for 'T': "):
         provider.resolve("T", "Smith", 2014)
 
 
-class _StubResponse:
-    def __init__(self, body):
-        self._body = body
+@pytest.mark.parametrize("status, body, detail", [
+    (500, b'{"data": []}', "HTTP Error 500: Internal Server Error"),
+    (200, b"<html>", "Expecting value: line 1 column 1 (char 0)"),
+    (None, b"", "GARBAGE"),
+], ids=["status-500", "not-json", "garbage-status-line"])
+def test_http_provider_failure_is_one_soft_line(fake_scholar, status, body, detail):
+    fake_scholar.status, fake_scholar.body = status, body
+    provider = _provider(fake_scholar)
+    with pytest.raises(ProviderError) as caught:
+        provider.resolve("T", "Smith", 2014)
+    assert str(caught.value) == f"lookup failed for 'T': {detail}"
+    records, report = enrich_citation_counts([_record("a", "T")], provider)
+    assert records[0].citation_count is None
+    assert report.failures == [("a", f"lookup failed for 'T': {detail}")]
 
-    def raise_for_status(self):
-        pass
 
-    def json(self):
-        return self._body
-
-
-class _StubSession:
-    """Answers every search with one fixed JSON body, without a socket."""
-
-    def __init__(self, body):
-        self.body = body
-
-    def get(self, url, params=None, timeout=None):
-        return _StubResponse(self.body)
+def test_http_provider_opens_no_file_or_data_url(tmp_path):
+    # What build_opener() would read for this lookup: a file with a count.
+    found = tmp_path / "paper" / "search?query=T&fields=title,year,citationCount&limit=5"
+    found.parent.mkdir()
+    found.write_text('{"data": [{"title": "T", "citationCount": 3}]}')
+    for base, scheme in ((tmp_path.as_uri(), "file"),
+                         ('data:application/json,{"data": []}', "data")):
+        with pytest.raises(ProviderError, match=f"unknown url type: {scheme}"):
+            ScholarLookupProvider(base_url=base).resolve("T", "Smith", 2014)
 
 
 @pytest.mark.parametrize("body", [[], "text", {"data": 5}, {"data": None}, {"data": {}},
                                   {"data": [None]}, {"data": [{"title": "T"}, "T"]}],
                          ids=["list", "string", "data-int", "data-null", "data-object",
                               "hit-null", "hit-string"])
-def test_http_provider_response_of_the_wrong_shape_is_a_provider_error(body):
-    provider = ScholarLookupProvider(session=_StubSession(body))
+def test_http_provider_response_of_the_wrong_shape_is_a_provider_error(fake_scholar, body):
+    provider = _answer(fake_scholar, body)
     with pytest.raises(ProviderError, match="malformed response"):
         provider.resolve("T", "Smith", 2014)
     records, report = enrich_citation_counts([_record("a", "T")], provider)
@@ -359,12 +376,12 @@ def test_http_provider_response_of_the_wrong_shape_is_a_provider_error(body):
     (3, 3), (0, 0), (True, None), (False, None), (-1, None), (3.0, None), ("3", None),
     (None, None),
 ])
-def test_http_provider_accepts_only_a_non_negative_int_count(count, expected):
-    body = {"data": [{"title": "T", "year": 2014, "citationCount": count}]}
-    provider = ScholarLookupProvider(session=_StubSession(body))
+def test_http_provider_accepts_only_a_non_negative_int_count(fake_scholar, count, expected):
+    provider = _answer(fake_scholar,
+                       {"data": [{"title": "T", "year": 2014, "citationCount": count}]})
     assert provider.resolve("T", "Smith", 2014) == expected
 
 
-def test_http_provider_without_data_finds_nothing():
-    provider = ScholarLookupProvider(session=_StubSession({"total": 0}))
+def test_http_provider_without_data_finds_nothing(fake_scholar):
+    provider = _answer(fake_scholar, {"total": 0})
     assert provider.resolve("T", "Smith", 2014) is None

@@ -10,7 +10,7 @@ from refsum import (CitingPaper, EmptySetError, Quantifier, ReferenceRecord,
                     feature_importance, parse_person_names,
                     self_citation_share, subset_vs_superset, top_authors,
                     top_reference_per_group)
-from refsum.profile import build_profile, quantifier_for
+from refsum.profile import build_profile, profile_to_text, quantifier_for
 
 
 def _records(spec):
@@ -188,6 +188,19 @@ def test_group_top_excludes_absent_group_but_counts_share():
     top = top_reference_per_group(records, "subdomain")
     assert [e.group_value for e in top.entries] == ["alpha"]
     assert top.entries[0].share == 0.75
+
+
+def test_a_group_is_labelled_as_its_distribution_spells_the_value():
+    rows = [{"id": "a", "subdomain": True, "citation_count": 3},
+            {"id": "b", "subdomain": True}, {"id": "c", "subdomain": None}]
+    dump = profile_to_text(build_profile(CitingPaper(references=tuple(rows)),
+                                         default_refset_config()))
+    assert "\nentry\ttrue\t2\t" in dump
+    assert "\ngroup\ttrue\tshare=" in dump
+    assert "True" not in dump
+    top = top_reference_per_group(rows, "subdomain")
+    assert [(e.group_value, e.top_reference) for e in top.entries] == [("true", "a")]
+    assert brute_group_tops(rows, "subdomain") == {"true": "a"}
 
 
 # -- author ranking ----------------------------------------------------------------

@@ -481,8 +481,18 @@ def test_a_line_that_is_not_one_json_object_is_refused_as_json_loads_words_it(li
         expected = "expected an object"
     except json.JSONDecodeError as exc:
         expected = f"not a valid record object ({exc.msg})"
-    with pytest.raises(RecordFileError, match=f"^line 1: {re.escape(expected)}$"):
-        load_record_lines(line)
+    with pytest.raises(RecordFileError, match=f"^line 2: {re.escape(expected)}$"):
+        load_record_lines('{"id": "first"}\n' + line)
+
+
+def test_one_byte_order_mark_at_the_start_of_the_text_is_dropped():
+    [record] = load_record_lines('\ufeff{"id": "a"}\n')
+    assert record.id == "a"
+    [record] = load_record_lines('\ufeff\n{"id": "a"}')   # a blank first line
+    assert record.id == "a"
+    for text in ('\ufeff\ufeff{"id": "a"}', '{"id": "a"}\n\ufeff{"id": "b"}'):
+        with pytest.raises(RecordFileError, match=r"\(Unexpected UTF-8 BOM"):
+            load_record_lines(text)
 
 
 _JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3001) | st.floats()
