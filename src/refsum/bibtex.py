@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import BibParseError
 
@@ -59,8 +59,7 @@ _STOPS['"'] = re.compile(r'[{}"]|' + _BLOCK_START.pattern, re.M)
 _SKIPPED_KINDS = ("comment", "preamble")
 
 
-@dataclass
-class ParseIssue:
+class ParseIssue(NamedTuple):
     """One problem found while scanning; ``severity`` is error or warning."""
 
     severity: str
@@ -75,14 +74,13 @@ class ParseIssue:
         return f"{self.severity} ({where}): {self.message}"
 
 
-@dataclass
-class RawEntry:
+class RawEntry(NamedTuple):
     """One parsed ``@kind{key, ...}`` block with lowercased field names."""
 
     entry_kind: str
     cite_key: str
     fields: dict[str, str]
-    offset: int = field(default=0, compare=False)
+    offset: int = 0
 
 
 class _Fault(Exception):

@@ -17,10 +17,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, get_args, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 from .bibtex import raise_first_error, scan_bibtex
 from .config import (ALGORITHMS, LOOKUP_WORKERS, ComparisonBands, QuantifierThresholds,
@@ -42,8 +41,7 @@ EMIT_MODES = ("summary", "plan", "profile")
 PROVIDERS = ("off", "mock", "http")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything one pipeline run needs, after merging flags > file > defaults."""
 
     input_path: str
@@ -56,20 +54,21 @@ class RunConfig:
     cache_dir: str | None = None
     endpoint: str | None = None
     workers: int = LOOKUP_WORKERS
-    k: int = SummaryConfig.author_k
+    k: int = SummaryConfig._field_defaults["author_k"]
     unit: str | None = None
     noun: str | None = None
     show_counts: bool | None = None
     paper_authors: str = ""
-    quantifier_most: float = QuantifierThresholds.most
-    quantifier_large: float = QuantifierThresholds.large
-    compare_same: float = ComparisonBands.same
-    compare_slight: float = ComparisonBands.slight
-    author_score_mode: str = SummaryConfig.author_score_mode
+    quantifier_most: float = QuantifierThresholds._field_defaults["most"]
+    quantifier_large: float = QuantifierThresholds._field_defaults["large"]
+    compare_same: float = ComparisonBands._field_defaults["same"]
+    compare_slight: float = ComparisonBands._field_defaults["slight"]
+    author_score_mode: str = SummaryConfig._field_defaults["author_score_mode"]
     strict: bool = False
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"input_path"}
+_CONFIG_KEYS = set(RunConfig._fields) - {"input_path"}
+_DEFAULTS = RunConfig._field_defaults
 
 
 def _accepted_types(annotation) -> tuple[type, ...]:
@@ -113,15 +112,10 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge_run_config(args: argparse.Namespace) -> RunConfig:
-    run = RunConfig(input_path=args.input)
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            setattr(run, key, value)
-    run.cache_dir = os.environ.get(CACHE_DIR_ENV) or run.cache_dir
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(run, key, flag)
+    run = RunConfig(args.input, **(_load_config_file(args.config) if args.config else {}))
+    run = run._replace(cache_dir=os.environ.get(CACHE_DIR_ENV) or run.cache_dir)
+    run = run._replace(**{key: flag for key in _CONFIG_KEYS
+                          if (flag := getattr(args, key, None)) is not None})
     for what, value, choices in (("emit mode", run.emit, EMIT_MODES),
                                  ("provider", run.provider, PROVIDERS),
                                  ("algorithm", run.algo, ALGORITHMS)):
@@ -196,8 +190,7 @@ def _assemble(run: RunConfig, warnings: list[str]) -> CitingPaper:
 
 def _summary_config(run: RunConfig, algo: str) -> SummaryConfig:
     base = default_refset_config() if algo == "refset" else default_prodset_config()
-    return replace(
-        base,
+    return base._replace(
         author_k=run.k,
         author_score_mode=run.author_score_mode,
         quantifier_thresholds=QuantifierThresholds(most=run.quantifier_most,
@@ -288,13 +281,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (flags override it)")
     parser.add_argument("--taxonomy", help="venue taxonomy table (tab-separated)")
     parser.add_argument("--provider", choices=PROVIDERS, default=None,
-                        help=f"citation-count source (default {RunConfig.provider})")
+                        help=f"citation-count source (default {_DEFAULTS['provider']})")
     parser.add_argument("--counts", help="title->count JSON map for --provider mock")
     parser.add_argument("--endpoint", help="base URL for --provider http")
     parser.add_argument("--cache-dir", dest="cache_dir",
                         help=f"citation cache directory (or ${CACHE_DIR_ENV})")
     parser.add_argument("--workers", type=int, default=None,
-                        help=f"max concurrent provider lookups (default {RunConfig.workers})")
+                        help=f"max concurrent provider lookups (default {_DEFAULTS['workers']})")
     parser.add_argument("--paper-authors", dest="paper_authors", default=None,
                         help="authors of the citing paper, 'A and B' form "
                              "(enables self-citation detection)")
@@ -305,7 +298,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_summary_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--templates", help="template pack file")
     parser.add_argument("--k", type=int, default=None,
-                        help=f"size of the author list (default {SummaryConfig.author_k})")
+                        help=f"size of the author list (default {_DEFAULTS['k']})")
     parser.add_argument("--unit", default=None, help="unit symbol for comparisons")
     parser.add_argument("--noun", default=None, help="noun for the summarised items")
     parser.add_argument("--no-counts", dest="show_counts", action="store_false",
@@ -322,9 +315,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(p_sum)
     _add_summary_options(p_sum)
     p_sum.add_argument("--algo", choices=ALGORITHMS, default=None,
-                       help=f"summary algorithm (default {RunConfig.algo})")
+                       help=f"summary algorithm (default {_DEFAULTS['algo']})")
     p_sum.add_argument("--emit", choices=EMIT_MODES, default=None,
-                       help=f"what to print (default {RunConfig.emit})")
+                       help=f"what to print (default {_DEFAULTS['emit']})")
     p_sum.set_defaults(func=_cmd_summarize)
 
     p_cmp = sub.add_parser("compare", help="both algorithms side by side")

@@ -14,7 +14,7 @@ here, so reordering attributes reorders the document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -32,48 +32,73 @@ SCORE_MODES = ("sum", "max")
 LOOKUP_WORKERS = 4  # concurrent citation-count lookups
 
 
-@dataclass(frozen=True)
-class AttributeSpec:
+class Checked:
+    """Mixin for a NamedTuple subclass whose ``_check`` runs on every value
+    built: by the constructor, ``_make`` or ``_replace``. It comes first
+    among the bases, and the subclass sets ``__slots__ = ()``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class AttributeSpec(NamedTuple):
     name: str
     kind: str
     role: str = "listed"
 
 
-@dataclass(frozen=True)
-class QuantifierThresholds:
-    """Proportion bands for the vague quantity words."""
-
+class _Thresholds(NamedTuple):
     most: float = 0.5
     large: float = 0.2
 
-    def __post_init__(self) -> None:
+
+class QuantifierThresholds(Checked, _Thresholds):
+    """Proportion bands for the vague quantity words."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0.0 < self.large < self.most <= 1.0:
             raise ConfigError("quantifier thresholds must satisfy 0 < large < most <= 1")
 
 
-@dataclass(frozen=True)
-class ComparisonBands:
-    """Relative-difference bands for subset-vs-superset comparisons."""
-
+class _Bands(NamedTuple):
     same: float = 0.02
     slight: float = 0.15
 
-    def __post_init__(self) -> None:
+
+class ComparisonBands(Checked, _Bands):
+    """Relative-difference bands for subset-vs-superset comparisons."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0.0 < self.same < self.slight:
             raise ConfigError("comparison bands must satisfy 0 < same < slight")
 
 
-@dataclass(frozen=True)
-class SummaryConfig:
+class _Summary(NamedTuple):
     algorithm: str
     attributes: tuple[AttributeSpec, ...]
     dominating: str = "citation_count"
     author_k: int = 7
     author_score_mode: str = "sum"
-    quantifier_thresholds: QuantifierThresholds = field(default_factory=QuantifierThresholds)
-    comparison_bands: ComparisonBands = field(default_factory=ComparisonBands)
+    quantifier_thresholds: QuantifierThresholds = QuantifierThresholds()
+    comparison_bands: ComparisonBands = ComparisonBands()
 
-    def __post_init__(self) -> None:
+
+class SummaryConfig(Checked, _Summary):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.author_k < 1:
@@ -132,7 +157,7 @@ def default_refset_config(**overrides) -> SummaryConfig:
             AttributeSpec("self_citation", "flag", "combined"),
         ),
     )
-    return replace(config, **overrides)
+    return config._replace(**overrides)
 
 
 def default_prodset_config(**overrides) -> SummaryConfig:
@@ -145,4 +170,4 @@ def default_prodset_config(**overrides) -> SummaryConfig:
             AttributeSpec("subdomain", "categorical", "listed"),
         ),
     )
-    return replace(config, **overrides)
+    return config._replace(**overrides)

@@ -16,9 +16,8 @@ from __future__ import annotations
 import json
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .config import LOOKUP_WORKERS
 from .errors import ProviderError
@@ -142,19 +141,23 @@ class CountCache:
     def __init__(self, directory: str | Path) -> None:
         self._path = Path(directory) / CACHE_FILENAME
         self._counts: dict[str, int] = {}
-        if self._path.exists():
-            # Bytes that are not UTF-8 only spoil their own line, which is
-            # then skipped as corrupt like any other.
+        # Bytes that are not UTF-8 only spoil their own line, which is then
+        # skipped as corrupt like any other. Only a missing file (or
+        # directory, made at the first append) is an empty cache: a directory
+        # that is a regular file raises here, before any lookup.
+        try:
             text = self._path.read_text(encoding="utf-8", errors="replace")
-            for line in text.splitlines():
-                parts = line.split("\t")
-                if len(parts) >= 2:
-                    try:
-                        count = int(parts[1])
-                    except ValueError:
-                        continue  # tolerate a corrupt line
-                    if count >= 0:  # a negative count is corrupt too
-                        self._counts[parts[0]] = count
+        except FileNotFoundError:
+            return
+        for line in text.splitlines():
+            parts = line.split("\t")
+            if len(parts) >= 2:
+                try:
+                    count = int(parts[1])
+                except ValueError:
+                    continue  # tolerate a corrupt line
+                if count >= 0:  # a negative count is corrupt too
+                    self._counts[parts[0]] = count
 
     def get(self, key: str) -> int | None:
         return self._counts.get(key)
@@ -186,16 +189,16 @@ class CountCache:
         return len(self._counts)
 
 
-@dataclass
-class EnrichmentReport:
-    """Hit/miss bookkeeping for one enrichment pass."""
+class EnrichmentReport(NamedTuple):
+    """Hit/miss bookkeeping for one enrichment pass; ``failures`` holds
+    ``(record id, message)`` pairs."""
 
-    looked_up: int = 0
-    already_present: int = 0
-    cache_hits: int = 0
-    provider_hits: int = 0
-    not_found: int = 0
-    failures: list[tuple[str, str]] = field(default_factory=list)
+    looked_up: int
+    already_present: int
+    cache_hits: int
+    provider_hits: int
+    not_found: int
+    failures: list[tuple[str, str]]
 
     def summary(self) -> str:
         line = (f"citation counts: {self.looked_up} looked up, "
@@ -222,22 +225,23 @@ def enrich_citation_counts(
     counts go to the cache in one append before it returns, also when a
     lookup raises.
     """
-    report = EnrichmentReport()
+    looked_up = already_present = cache_hits = provider_hits = not_found = 0
+    failures: list[tuple[str, str]] = []
     counts: dict[int, int] = {}
     jobs: list[tuple[int, str, str | None]] = []   # (index, first-author family, key)
     for i, record in enumerate(records):
         if record.citation_count is not None:
-            report.already_present += 1
+            already_present += 1
             continue
-        report.looked_up += 1
+        looked_up += 1
         family = record.authors[0].family if record.authors else ""
         key = lookup_key(record.title, family, record.year) if cache is not None else None
         cached = cache.get(key) if key is not None else None
         if cached is not None:
-            report.cache_hits += 1
+            cache_hits += 1
             counts[i] = cached
         elif provider is None:
-            report.not_found += 1
+            not_found += 1
         else:
             jobs.append((i, family, key))
 
@@ -259,11 +263,11 @@ def enrich_citation_counts(
                     ThreadPoolExecutor(max_workers=min(max_workers, len(jobs)))).map
             for (i, _, key), (count, error) in zip(jobs, mapper(fetch, jobs)):
                 if error is not None:
-                    report.failures.append((records[i].id, error))
+                    failures.append((records[i].id, error))
                 elif count is None:
-                    report.not_found += 1
+                    not_found += 1
                 else:
-                    report.provider_hits += 1
+                    provider_hits += 1
                     counts[i] = count
                     if key is not None:
                         fetched[key] = count
@@ -278,4 +282,5 @@ def enrich_citation_counts(
         enriched[i] = ReferenceRecord(r.id, r.title, r.authors, r.year, r.venue_name,
                                       r.venue_type, r.domain, r.subdomain, count,
                                       r.self_citation)
-    return enriched, report
+    return enriched, EnrichmentReport(looked_up, already_present, cache_hits, provider_hits,
+                                      not_found, failures)

@@ -9,7 +9,6 @@ the key ``smith.j``. Anything finer would need real author disambiguation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 # Lowercase tokens folded into the family name in "Given ... Family" form,
 # so "Ludwig van Beethoven" keeps "van Beethoven" as the family.
@@ -21,21 +20,51 @@ _PARTICLES = {
 _AND_SPLIT = re.compile(r"\s+and\s+")
 
 
-@dataclass(frozen=True)
 class PersonName:
-    family: str
-    given: str = ""
-    # Lowercased family plus first given initial, e.g. ``smith.j``; set once
-    # when the name is built, and left out of equality, hashing and repr.
-    normalized_key: str = field(init=False, compare=False, repr=False)
+    """A family and a given name; it compares, hashes and prints as that pair.
 
-    def __post_init__(self) -> None:
-        key = " ".join(self.family.lower().split())
-        for ch in self.given:
+    ``normalized_key`` is the lowercased family plus the first given initial,
+    e.g. ``smith.j``; it is set once when the name is built, and left out of
+    equality, hashing and repr. Like the NamedTuple value types, a name has
+    ``_fields`` and ``_replace`` and refuses attribute assignment.
+    """
+
+    __slots__ = ("family", "given", "normalized_key")
+    _fields = ("family", "given")
+
+    def __init__(self, family: str, given: str = "") -> None:
+        key = " ".join(family.lower().split())
+        for ch in given:
             if ch.isalnum():
                 key = f"{key}.{ch.lower()}"
                 break
-        object.__setattr__(self, "normalized_key", key)
+        init = object.__setattr__   # this class's own refuses every name
+        init(self, "family", family)
+        init(self, "given", given)
+        init(self, "normalized_key", key)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: a PersonName is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a PersonName is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not PersonName:
+            return NotImplemented
+        return (self.family, self.given) == (other.family, other.given)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.given))
+
+    def __repr__(self) -> str:
+        return f"PersonName(family={self.family!r}, given={self.given!r})"
+
+    def __reduce__(self):   # copy and pickle rebuild the name: assignment is refused
+        return PersonName, (self.family, self.given)
+
+    def _replace(self, **changes: str) -> PersonName:
+        return PersonName(**{"family": self.family, "given": self.given, **changes})
 
     def display(self) -> str:
         if self.given:

@@ -1,7 +1,7 @@
 """Document planning: fixed schemata turn a profile into ordered messages.
 
-A plan is wording-free. Each paragraph holds one typed message, a frozen
-dataclass per message kind whose fields are profile fragments; the
+A plan is wording-free. Each paragraph holds one typed message, a
+NamedTuple per message kind whose fields are profile fragments; the
 realiser decides the sentences. The refset schema opens with the total
 fused with the lead attribute and closes with the author list; the prodset
 schema opens with the dominating column's shape and then walks the listed
@@ -13,8 +13,7 @@ realised as filler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
 from .config import SummaryConfig
 from .errors import PlanningError
@@ -22,61 +21,53 @@ from .profile import (AuthorScore, CategoricalDistribution, ComparisonResult,
                       ContinuousSummary, GroupTop, SetProfile, UNKNOWN)
 
 
-@dataclass(frozen=True)
-class IntroWithLeadAttribute:
+class IntroWithLeadAttribute(NamedTuple):
     """Opening paragraph: the set size fused with the lead attribute's spread."""
 
     total: int
     distribution: CategoricalDistribution
 
 
-@dataclass(frozen=True)
-class CategoricalQuant:
+class CategoricalQuant(NamedTuple):
     """One quantifier sentence per value of a listed categorical attribute."""
 
     distribution: CategoricalDistribution
 
 
-@dataclass(frozen=True)
-class ContinuousRange:
+class ContinuousRange(NamedTuple):
     """Range and median of a listed continuous attribute."""
 
     summary: ContinuousSummary
 
 
-@dataclass(frozen=True)
-class CombinedYearSelfCite:
+class CombinedYearSelfCite(NamedTuple):
     """Year span fused with the self-citation share; either may be absent."""
 
     summary: ContinuousSummary | None
     share: float | None
 
 
-@dataclass(frozen=True)
-class GroupTopList:
+class GroupTopList(NamedTuple):
     """Each group's share of the set and its most cited member."""
 
     group_top: GroupTop
 
 
-@dataclass(frozen=True)
-class AuthorList:
+class AuthorList(NamedTuple):
     """The top authors; ``has_counts`` picks the counted or the listed wording."""
 
     authors: tuple[AuthorScore, ...]
     has_counts: bool
 
 
-@dataclass(frozen=True)
-class DominatingShape:
+class DominatingShape(NamedTuple):
     """Range and median of the dominating column over the whole set."""
 
     total: int
     summary: ContinuousSummary
 
 
-@dataclass(frozen=True)
-class FeatureWithComparison:
+class FeatureWithComparison(NamedTuple):
     """A feature's spread, then its top value's dominating median against the set's."""
 
     distribution: CategoricalDistribution
@@ -88,14 +79,12 @@ Message = Union[IntroWithLeadAttribute, CategoricalQuant, ContinuousRange,
                 FeatureWithComparison]
 
 
-@dataclass(frozen=True)
-class Paragraph:
+class Paragraph(NamedTuple):
     label: str
     message: Message
 
 
-@dataclass(frozen=True)
-class DocumentPlan:
+class DocumentPlan(NamedTuple):
     algorithm: str
     paragraphs: tuple[Paragraph, ...]
 
@@ -207,8 +196,9 @@ def plan_to_text(plan: DocumentPlan) -> str:
     message prints its class name, then its fields in declaration order."""
     lines = [f"plan\t{plan.algorithm}"]
     for paragraph in plan.paragraphs:
-        detail = [type(paragraph.message).__name__]
-        for f in fields(paragraph.message):
-            detail += _field_text(f.name, getattr(paragraph.message, f.name))
+        message = paragraph.message
+        detail = [type(message).__name__]
+        for name, value in zip(message._fields, message):
+            detail += _field_text(name, value)
         lines += [f"paragraph\t{paragraph.label}", "message\t" + "\t".join(detail)]
     return "\n".join(lines)

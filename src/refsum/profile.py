@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import attrgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 from .config import ComparisonBands, QuantifierThresholds, SummaryConfig
 from .errors import EmptySetError, StatsError
@@ -46,23 +45,20 @@ class Quantifier(IntEnum):
 
 # -- profile fragment types ---------------------------------------------------
 
-@dataclass(frozen=True)
-class DistributionEntry:
+class DistributionEntry(NamedTuple):
     value: str
     count: int
     proportion: float
     bucket: Quantifier
 
 
-@dataclass(frozen=True)
-class CategoricalDistribution:
+class CategoricalDistribution(NamedTuple):
     attribute: str
     entries: tuple[DistributionEntry, ...]
     total: int
 
 
-@dataclass(frozen=True)
-class ContinuousSummary:
+class ContinuousSummary(NamedTuple):
     attribute: str
     minimum: float
     maximum: float
@@ -70,8 +66,7 @@ class ContinuousSummary:
     count: int
 
 
-@dataclass(frozen=True)
-class GroupTopEntry:
+class GroupTopEntry(NamedTuple):
     group_value: str
     share: float
     bucket: Quantifier
@@ -80,22 +75,19 @@ class GroupTopEntry:
     top_title: str = ""
 
 
-@dataclass(frozen=True)
-class GroupTop:
+class GroupTop(NamedTuple):
     group_attribute: str
     entries: tuple[GroupTopEntry, ...]
 
 
-@dataclass(frozen=True)
-class AuthorScore:
+class AuthorScore(NamedTuple):
     author: PersonName
     score: int
     paper_count: int
     counted_papers: int
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     attribute: str
     feature_value: str
     subset_median: float
@@ -104,20 +96,31 @@ class ComparisonResult:
     magnitude: str   # much | slightly | same
 
 
-@dataclass(frozen=True)
-class SetProfile:
+class _Profile(NamedTuple):
+    total: int
+    distributions: dict[str, CategoricalDistribution]
+    continuous: dict[str, ContinuousSummary]
+    dominating_shape: ContinuousSummary | None
+    group_tops: dict[str, GroupTop]
+    top_authors: tuple[AuthorScore, ...]
+    importance: tuple[tuple[str, float], ...] | None
+    comparisons: dict[str, ComparisonResult]
+    self_citation_share: float | None
+
+
+class SetProfile(_Profile):
     """Every statistic of one set; the per-attribute fragments are keyed by
     attribute name, in configuration order."""
 
-    total: int
-    distributions: dict[str, CategoricalDistribution] = field(default_factory=dict)
-    continuous: dict[str, ContinuousSummary] = field(default_factory=dict)
-    dominating_shape: ContinuousSummary | None = None
-    group_tops: dict[str, GroupTop] = field(default_factory=dict)
-    top_authors: tuple[AuthorScore, ...] = ()
-    importance: tuple[tuple[str, float], ...] | None = None
-    comparisons: dict[str, ComparisonResult] = field(default_factory=dict)
-    self_citation_share: float | None = None
+    __slots__ = ()
+
+    def __new__(cls, total, distributions=None, continuous=None, dominating_shape=None,
+                group_tops=None, top_authors=(), importance=None, comparisons=None,
+                self_citation_share=None):
+        """A dict fragment left out, None or empty is a new dict of its own."""
+        return super().__new__(cls, total, distributions or {}, continuous or {},
+                               dominating_shape, group_tops or {}, top_authors, importance,
+                               comparisons or {}, self_citation_share)
 
 
 # -- record access ------------------------------------------------------------
@@ -304,8 +307,8 @@ def _group_top(cols: _Columns, group_attribute: str,
     return GroupTop(group_attribute=group_attribute, entries=tuple(entries))
 
 
-def top_authors(records: Sequence[Any], k: int = SummaryConfig.author_k, *,
-                score_mode: str = SummaryConfig.author_score_mode,
+def top_authors(records: Sequence[Any], k: int = SummaryConfig._field_defaults["author_k"], *,
+                score_mode: str = SummaryConfig._field_defaults["author_score_mode"],
                 ) -> tuple[AuthorScore, ...]:
     """The k authors whose references carry the highest citation counts.
 

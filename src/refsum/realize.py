@@ -9,8 +9,8 @@ byte-stable across runs and platforms: no locale, no randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
+from typing import NamedTuple
 
 from .errors import RealizationError
 from .plan import (AuthorList, CategoricalQuant, CombinedYearSelfCite, ContinuousRange,
@@ -20,8 +20,7 @@ from .profile import AuthorScore, ContinuousSummary, Quantifier
 from .templates import TemplatePack, default_pack
 
 
-@dataclass(frozen=True)
-class RealizedSummary:
+class RealizedSummary(NamedTuple):
     paragraphs: tuple[str, ...]
 
     @property

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
+from .config import Checked
 from .errors import ConfigError, RecordFileError
 from .names import PersonName, parse_person_names
 
@@ -95,10 +96,7 @@ def de_latex(text: str) -> str:
 
 # -- domain types -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReferenceRecord:
-    """One cited work with the attributes the summariser consumes."""
-
+class _Record(NamedTuple):
     id: str
     title: str = ""
     authors: tuple[PersonName, ...] = ()
@@ -110,37 +108,42 @@ class ReferenceRecord:
     citation_count: int | None = None
     self_citation: bool | None = None
 
-    def __post_init__(self) -> None:
+
+class ReferenceRecord(Checked, _Record):
+    """One cited work with the attributes the summariser consumes."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.venue_type not in VENUE_TYPES:
             raise ValueError(f"invalid venue type {self.venue_type!r}")
 
 
-@dataclass(frozen=True)
-class CitingPaper:
+class CitingPaper(NamedTuple):
     """The paper whose reference list is being summarised."""
 
     authors: tuple[PersonName, ...] = ()
     references: tuple[ReferenceRecord, ...] = ()
 
 
-@dataclass(frozen=True)
-class TaxonomyRule:
+@lru_cache(maxsize=None)
+def _rule_regex(pattern: str) -> re.Pattern[str]:
+    """A rule pattern's regex, compiled at its first use."""
+    return re.compile(r"(?<![A-Za-z0-9])" + re.escape(pattern) + r"(?![A-Za-z0-9])",
+                      re.IGNORECASE)
+
+
+class TaxonomyRule(NamedTuple):
     pattern: str
     venue_type: str | None = None
     domain: str | None = None
     subdomain: str | None = None
 
-    @cached_property
-    def _regex(self) -> re.Pattern[str]:
-        return re.compile(r"(?<![A-Za-z0-9])" + re.escape(self.pattern) + r"(?![A-Za-z0-9])",
-                          re.IGNORECASE)
-
     def matches(self, venue_name: str) -> bool:
-        return self._regex.search(venue_name) is not None
+        return _rule_regex(self.pattern).search(venue_name) is not None
 
 
-@dataclass(frozen=True)
-class VenueTaxonomy:
+class VenueTaxonomy(NamedTuple):
     """Ordered keyword rules mapping venue names to type/domain/subdomain.
 
     The first matching rule wins; no match means (None, None, None) and the

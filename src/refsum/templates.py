@@ -15,7 +15,7 @@ display falls back from the per-attribute lexicon to the shared
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import RealizationError, TemplateError
 
@@ -23,8 +23,7 @@ _SLOT_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 _FLAGS = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
 
 
-@dataclass(frozen=True)
-class TemplatePack:
+class TemplatePack(NamedTuple):
     templates: dict[str, str]
     lexicon: dict[str, dict[str, str]]
     noun: str = "items"
@@ -69,7 +68,7 @@ class TemplatePack:
                 changes[key] = _FLAGS[value.lower()]
             elif value is not None:
                 changes[key] = value
-        return replace(self, **changes)
+        return self._replace(**changes)
 
 
 def load_template_pack(text: str) -> TemplatePack:

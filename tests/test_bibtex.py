@@ -311,7 +311,9 @@ def test_scan_never_raises(text):
 def test_serialized_entries_scan_back_unchanged(text):
     entries, _ = scan_bibtex(text)
     again, _ = scan_bibtex(serialize_entries(entries))
-    assert again == entries
+    # an entry's offset takes part in equality, and the serializer lays
+    # the entries out afresh
+    assert [e._replace(offset=0) for e in again] == [e._replace(offset=0) for e in entries]
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from refsum import StaticCountProvider
 from refsum.cli import main
 from refsum.templates import DEFAULT_PACK_TEXT
 
@@ -427,6 +428,37 @@ def test_a_cache_dir_that_cannot_be_used_is_a_configuration_error(capsys, data_d
         assert err.startswith(f"refsum: configuration error: "
                               f"cannot use cache directory {cache_dir}: ")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+def test_a_cache_dir_that_is_a_file_is_refused_without_a_provider(capsys, data_dir,
+                                                                   tmp_path, below):
+    """With nothing to fetch, the cache is only read: a regular file where its
+    directory should be is refused all the same, not taken for an empty cache."""
+    (tmp_path / "file").write_text("x")
+    cache_dir = tmp_path / "file" / below
+    code, out, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
+                          "--cache-dir", str(cache_dir))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"refsum: configuration error: cannot use cache directory {cache_dir}: ")
+
+
+def test_a_cache_dir_that_is_a_file_is_refused_before_any_lookup(capsys, data_dir,
+                                                                  tmp_path, monkeypatch):
+    calls = []
+    resolve = StaticCountProvider.resolve
+    monkeypatch.setattr(StaticCountProvider, "resolve",
+                        lambda self, *triple: calls.append(triple) or resolve(self, *triple))
+    (tmp_path / "file").write_text("x")
+    code, _, err = _run(capsys, "enrich", str(data_dir / "fixture20.bib"),
+                        "--provider", "mock",
+                        "--counts", str(data_dir / "fixture20_counts.json"),
+                        "--cache-dir", str(tmp_path / "file"))
+    assert code == 2
+    assert "cannot use cache directory" in err
+    assert calls == []
+    assert (tmp_path / "file").read_text() == "x"
 
 
 def test_enrich_requires_provider_and_cache(capsys, data_dir, monkeypatch):

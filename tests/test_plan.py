@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import pytest
@@ -95,7 +94,7 @@ def test_refset_plan_is_pure(refset_profile):
 
 
 def test_refset_skips_subdomains_when_all_absent(fixture20_paper):
-    stripped = tuple(dataclasses.replace(r, subdomain=None, domain=None)
+    stripped = tuple(r._replace(subdomain=None, domain=None)
                      for r in fixture20_paper.references)
     profile = build_profile(CitingPaper(references=stripped), default_refset_config())
     plan = build_refset_plan(profile, default_refset_config())
@@ -106,7 +105,7 @@ def test_refset_skips_subdomains_when_all_absent(fixture20_paper):
 
 
 def test_refset_skips_years_when_neither_years_nor_flags_are_known(fixture20_paper):
-    stripped = tuple(dataclasses.replace(r, year=None, self_citation=None)
+    stripped = tuple(r._replace(year=None, self_citation=None)
                      for r in fixture20_paper.references)
     warnings: list[str] = []
     profile = build_profile(CitingPaper(references=stripped), default_refset_config(), warnings)
@@ -117,7 +116,7 @@ def test_refset_skips_years_when_neither_years_nor_flags_are_known(fixture20_pap
 
 
 def test_refset_zero_selfcitation_share_still_planned(fixture20_paper):
-    cleared = tuple(dataclasses.replace(r, self_citation=False)
+    cleared = tuple(r._replace(self_citation=False)
                     for r in fixture20_paper.references)
     profile = build_profile(CitingPaper(references=cleared), default_refset_config())
     plan = build_refset_plan(profile, default_refset_config())
@@ -137,7 +136,7 @@ def test_refset_plans_a_listed_continuous_attribute_as_its_range(fixture20_paper
 
 def test_refset_missing_fragment_names_it(refset_profile):
     config = default_refset_config()
-    broken = dataclasses.replace(refset_profile, distributions={})
+    broken = refset_profile._replace(distributions={})
     with pytest.raises(PlanningError, match="venue_type"):
         build_refset_plan(broken, config)
 
@@ -150,7 +149,7 @@ def test_refset_never_plans_dominating_shape(refset_profile):
 
 def test_attribute_order_controls_middle_paragraphs(refset_profile):
     config = default_refset_config()
-    reordered = dataclasses.replace(config, attributes=(
+    reordered = config._replace(attributes=(
         config.attributes[0],   # lead
         config.attributes[3],   # year (combined)
         config.attributes[4],   # self_citation (combined)
@@ -177,7 +176,7 @@ def test_prodset_plan_shape_first_then_importance_order(prodset_profile):
 
 def test_prodset_single_listed_feature_gives_two_paragraphs(fixture20_paper):
     config = default_prodset_config()
-    config = dataclasses.replace(config, attributes=(config.attributes[0],))
+    config = config._replace(attributes=(config.attributes[0],))
     profile = build_profile(fixture20_paper, config)
     plan = build_prodset_plan(profile, config)
     assert len(plan.paragraphs) == 2

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from copy import deepcopy
-from dataclasses import fields
 
 from hypothesis import given, settings, strategies as st
 
@@ -155,9 +154,9 @@ def test_profile_deterministic(records):
 @settings(max_examples=50, deadline=None)
 @given(record_sets, st.data())
 def test_profile_reads_mappings_and_records_alike(records, data):
-    # field by field, not asdict, so the authors stay PersonNames
+    # _asdict is shallow, so the authors stay PersonNames
     flags = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
-    mixed = [{f.name: getattr(r, f.name) for f in fields(r)} if as_dict else r
+    mixed = [r._asdict() if as_dict else r
              for r, as_dict in zip(records, flags)]
     for config in (default_refset_config(), default_prodset_config()):
         typed_warnings: list[str] = []
@@ -313,7 +312,7 @@ def test_true_one_and_one_point_zero_are_three_categories():
 @settings(max_examples=50, deadline=None)
 @given(mixed_records(), st.data())
 def test_each_profile_call_reads_the_records_afresh(records, data):
-    rows = [{f.name: getattr(r, f.name) for f in fields(r)} if isinstance(r, ReferenceRecord)
+    rows = [r._asdict() if isinstance(r, ReferenceRecord)
             else r for r in records]
     citing = CitingPaper(references=tuple(rows))
     for config in (default_refset_config(), default_prodset_config()):
