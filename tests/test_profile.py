@@ -37,6 +37,10 @@ def test_quantifier_bands(proportion, expected):
     assert quantifier_for(proportion) == expected
 
 
+def test_quantifiers_are_three_distinct_words_in_order():
+    assert [q.label for q in sorted(Quantifier)] == ["some", "large", "most"]
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0001, 2.0])
 def test_quantifier_domain_error(bad):
     with pytest.raises(ValueError):
@@ -117,6 +121,9 @@ def test_continuous_even_count_midpoint():
 def test_continuous_ignores_absent():
     records = [ReferenceRecord(id="a", year=2000), ReferenceRecord(id="b")]
     assert continuous_summary(records, "year").count == 1
+    # a bool or a numeric string in a mapping's column is not a number
+    for not_a_number in (True, "7"):
+        assert continuous_summary([{"p": not_a_number}, {"p": 3}], "p").count == 1
 
 
 def test_continuous_fully_absent():
@@ -263,6 +270,12 @@ def test_max_score_mode():
     assert top_authors(records, 1, score_mode="max")[0].score == 40
 
 
+@pytest.mark.parametrize("k,score_mode", [(0, "sum"), (7, "bogus"), (7, "Max")])
+def test_top_authors_refuses_a_bad_k_or_score_mode(k, score_mode):
+    with pytest.raises(ValueError):
+        top_authors(TWELVE, k, score_mode=score_mode)
+
+
 def test_name_variants_collapse_and_display_prefers_fullest():
     records = [_paper("p1", "J. Smith", 10), _paper("p2", "John Smith", 20)]
     ranked = top_authors(records, 1)
@@ -300,6 +313,13 @@ def test_importance_perfect_separation_scores_one():
     records = [{"price": 10, "flag": "lo"}] * 3 + [{"price": 50, "flag": "hi"}] * 3
     ranking = dict(feature_importance(records, "price", ["flag"]))
     assert ranking["flag"] == 1.0
+    # an overall range of at most 1 still divides
+    narrow = [{"price": 0.5, "flag": "lo"}] * 2 + [{"price": 1.0, "flag": "hi"}] * 2
+    assert dict(feature_importance(narrow, "price", ["flag"]))["flag"] == 1.0
+
+
+def test_importance_ties_rank_by_attribute_name():
+    assert feature_importance(TEN, "price", ["z", "a"]) == (("a", 0.0), ("z", 0.0))
 
 
 def test_importance_ten_record_fixture_matches_oracle():
@@ -353,6 +373,8 @@ def test_comparison_lower_band():
 
 def test_comparison_zero_superset_median_forced_much():
     result = subset_vs_superset(_priced([10]), _priced([0]), "price")
+    assert (result.direction, result.magnitude) == ("higher", "much")
+    result = subset_vs_superset(_priced([0.5]), _priced([0]), "price")
     assert (result.direction, result.magnitude) == ("higher", "much")
     result = subset_vs_superset(_priced([0]), _priced([0]), "price")
     assert (result.direction, result.magnitude) == ("same", "same")
@@ -434,6 +456,16 @@ def test_profile_prodset_fragments(fixture20_paper):
         [s.name for s in default_prodset_config().listed()]
     assert all(key == c.attribute for key, c in profile.comparisons.items())
     assert profile.top_authors == ()
+
+
+def test_profile_dump_shows_the_share_and_an_absent_top_count_as_a_dash():
+    rows = (ReferenceRecord(id="a", subdomain="x", citation_count=5, self_citation=True),
+            ReferenceRecord(id="b", subdomain="y", self_citation=False))
+    lines = profile_to_text(build_profile(CitingPaper(references=rows),
+                                          default_refset_config())).splitlines()
+    assert "self_citation_share\t0.5" in lines
+    assert [line.rsplit("\t", 1)[1] for line in lines if line.startswith("group\t")] == \
+        ["count=5", "count=-"]
 
 
 def test_profile_empty_set_is_an_error():
