@@ -2,8 +2,7 @@
 
 Run from the repository root, with pytest and hypothesis installed:
 
-    python tests/mutate.py profile          # every mutant of src/refsum/profile.py
-    python tests/mutate.py profile --list   # the mutants only, nothing run
+    python tests/mutate.py profile   # every mutant of src/refsum/profile.py
 
 Four operators each make one mutant per site: flip a comparison (``<`` to
 ``>=``, ``is`` to ``is not``, ...), swap ``and``/``or``, add 1 to an int
@@ -134,17 +133,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="a module of src/refsum, such as profile")
     parser.add_argument("--tests", nargs="+", metavar="FILE",
                         help="test files to run, relative to the repository root")
-    parser.add_argument("--list", action="store_true", help="list the mutants and stop")
     args = parser.parse_args(argv)
 
     relpath = f"src/refsum/{args.module}.py"
     source = (ROOT / relpath).read_text(encoding="utf-8")
     ids = mutant_ids(args.module, source)
-    if args.list:
-        for line, key in ids:
-            print(f"{relpath}:{line}  {key}")
-        print(f"{len(ids)} mutants")
-        return 0
     tests = args.tests or sorted(str(p.relative_to(ROOT))
                                  for p in ROOT.glob(f"tests/test_{args.module}*.py"))
 
