@@ -10,10 +10,11 @@ Scanning is lenient: a malformed entry is reported as an issue and skipped,
 so one bad entry does not take down the whole bibliography. ``parse_bibtex``
 is the strict wrapper that raises on the first error.
 
-Each scan first builds two tables over the whole text: the matching ``}`` of
-every ``{`` that closes, and the position of every line-start ``@``. Where a
-value or block ends, and where the scan resumes after a broken one, are then
-lookups, so a value that never closes does not rescan the rest of the file.
+Where a ``{`` closes is found when asked: a group nested at most two deep in
+one regex match, any other by a stack walk that keeps every pair it passes.
+A walk that reaches the end marks all braces from its start as never closing,
+so a value that never closes does not rescan the rest of the file. The next
+line-start ``@``, where the scan resumes after a fault, is searched for then.
 A ``(``-delimited block ends at its first ``)`` outside brace groups.
 
 Each field of an entry starts with one match of ``_FIELD_HEAD``: the field
@@ -32,8 +33,6 @@ they are found.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import BibParseError
@@ -47,7 +46,9 @@ _FIELD_NAME = re.compile(r"[^\s=,{}()\"#@][^\s=,{}()\"#]*")
 _FIELD_HEAD = re.compile(r"\s*(" + _FIELD_NAME.pattern + r")\s*=\s*")
 _MACRO_NAME = re.compile(r"[^\s,#{}()\"@][^\s,#{}()\"]*")
 _NUMBER = re.compile(r"[0-9]+")
-_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+# A brace group nested at most two deep, as most values are: its close in
+# one match, with no stack walk.
+_GROUP = re.compile(r"\{[^{}]*(?:\{[^{}]*\}[^{}]*)*\}")
 _WS = re.compile(r"\s*")
 _BLOCK_START = re.compile(r"^[^\S\n]*@", re.M)
 # What can end a group closed by ')', '}' or '"': that char, or a brace;
@@ -99,56 +100,71 @@ class _Scanner:
         self.entries: list[RawEntry] = []
         self.issues: list[ParseIssue] = []
         self.macros: dict[str, str] = {}
-        self._first_seen: dict[str, int] = {}
-        # Offsets are UTF-8 byte offsets: a position plus the extra bytes of
-        # the non-ASCII characters before it. ``_extra[i]`` is the sum over
-        # the first ``i`` of them, so one bisect finds any position's offset.
-        self._wide_pos = [m.start() for m in _NON_ASCII.finditer(text)]
-        self._extra = [0, *accumulate(len(text[p].encode("utf-8")) - 1
-                                      for p in self._wide_pos)]
-        # Where each '{' that closes is closed, and where each line-start '@'
-        # is: every "where does this end?" below is a lookup in these two.
+        self._first_seen: dict[str, int] = {}   # cite key -> its first byte offset
+        # Offsets are UTF-8 byte offsets, counted from the '@' of the block
+        # being read, which no position asked for precedes: (position, offset).
+        self._cursor = (0, 0)
+        # The close of each '{' a stack walk passed; every '{' at or after
+        # ``_settled`` that is not in it never closes.
         self._close: dict[int, int] = {}
-        opened: list[int] = []
-        for m in _STOPS["}"].finditer(text):
-            if m.group() == "{":
-                opened.append(m.start())
-            elif opened:
-                self._close[opened.pop()] = m.start()
-        self._starts = [m.end() - 1 for m in _BLOCK_START.finditer(text)]
+        self._settled = len(text)
+        self._found = (0, -1)   # (from, to): no line-start '@' from ``from`` before ``to``
 
     # -- helpers ----------------------------------------------------------
 
     def _byte(self, pos: int) -> int:
-        return pos + self._extra[bisect_left(self._wide_pos, pos)]
+        at, offset = self._cursor
+        return offset + len(self.text[at:pos].encode("utf-8"))
 
     def _issue(self, severity: str, message: str, pos: int,
                cite_key: str | None = None) -> None:
         self.issues.append(ParseIssue(severity, message, self._byte(pos), cite_key))
 
-    def _peek(self) -> str | None:
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return None
-
     def _skip_ws(self) -> None:
         self.pos = _WS.match(self.text, self.pos).end()
 
     def _next_block(self, pos: int) -> int:
-        """The first line-start ``@`` at or after ``pos``, or the end."""
-        i = bisect_left(self._starts, pos)
-        return self._starts[i] if i < len(self._starts) else len(self.text)
+        """The first line-start ``@`` at or after ``pos``, or the end; a kept
+        answer serves every ``pos`` it covers. Looks back only over the
+        whitespace just before ``pos`` on its line."""
+        if not self._found[0] <= pos <= self._found[1]:
+            text, line = self.text, pos
+            while line and text[line - 1] != "\n" and text[line - 1].isspace():
+                line -= 1
+            m = _BLOCK_START.search(text, line)
+            self._found = (pos, m.end() - 1 if m else len(text))
+        return self._found[1]
 
-    def _block_end(self, pos: int, close_ch: str) -> int | None:
+    def _close_of(self, start: int) -> int | None:
+        """Where the ``{`` at ``start`` closes, or None if it never does."""
+        end = self._close.get(start)
+        if end is not None or start >= self._settled:
+            return end
+        if m := _GROUP.match(self.text, start):
+            return m.end() - 1
+        opened: list[int] = []
+        for m in _STOPS["}"].finditer(self.text, start):
+            if m.group() == "}":
+                end = self._close[opened.pop()] = m.start()
+                if not opened:
+                    return end
+            elif m.start() >= self._settled:
+                break   # that '{' never closes, so neither do those below it
+            else:
+                opened.append(m.start())
+        self._settled = start
+        return None
+
+    def _block_end(self, pos: int, close_ch: str, stop: int) -> int | None:
         """Just past the first ``close_ch`` at or after ``pos`` outside brace
-        groups; None if an unclosed ``{``, a stray ``}`` or, for ``"``, a
-        line-start ``@`` comes first."""
+        groups and before ``stop``; None if there is none, or if an unclosed
+        ``{``, a stray ``}`` or, for ``"``, a line-start ``@`` comes first."""
         stops = _STOPS[close_ch]
-        while m := stops.search(self.text, pos):
+        while m := stops.search(self.text, pos, stop):
             if m.group() == close_ch:
                 return m.end()
-            end = self._close.get(m.start())
-            if end is None:  # a '{' that never closes, a stray '}' or an '@'
+            # a stray '}', an '@' or a '{' that never closes
+            if m.group() != "{" or (end := self._close_of(m.start())) is None:
                 return None
             pos = end + 1
         return None
@@ -157,8 +173,8 @@ class _Scanner:
         """Where a block broken at ``pos`` ends: at its own close, or at the
         next line-start ``@`` if that comes first, so later entries survive
         even when the broken one never closes or closes too early."""
-        end = self._block_end(self.pos, close_ch) or len(self.text)
-        return min(end, self._next_block(self.pos))
+        stop = self._next_block(self.pos)
+        return self._block_end(self.pos, close_ch, stop) or stop
 
     # -- value parsing ----------------------------------------------------
 
@@ -166,15 +182,15 @@ class _Scanner:
         """One value, ``#`` concatenations included, of the field or macro
         that ``where`` names (``entry 'k'`` or ``@string 'n'``). Starts at the
         value's first character and leaves ``pos`` past the whitespace after
-        it. Runs once per value, so it reads ``text`` directly rather than
-        through ``_peek`` and ``_skip_ws``."""
+        it. Runs once per value, so it matches ``_WS`` directly rather than
+        through ``_skip_ws``."""
         text = self.text
         parts: list[str] = []
         while True:
             start = self.pos
             ch = text[start:start + 1]   # "" at the end of the text
             if ch == "{":
-                end = self._close.get(start)
+                end = self._close_of(start)
                 if end is None:
                     raise _Fault(f"unbalanced braces in {where}", start,
                                  self._next_block(start), cite_key)
@@ -182,7 +198,7 @@ class _Scanner:
                 self.pos = end + 1
             elif ch == '"':
                 # Braces must balance inside quotes too.
-                end = self._block_end(start + 1, '"')
+                end = self._block_end(start + 1, '"', len(text))
                 if end is None:
                     resume = self._next_block(start)
                     braces = _STOPS["}"].search(text, start, resume)
@@ -214,18 +230,18 @@ class _Scanner:
     # -- block parsing ----------------------------------------------------
 
     def _skip_block(self, kind: str, at: int) -> None:
-        ch = self._peek()
+        ch = self.text[self.pos:self.pos + 1]
         if ch not in ("{", "("):
             # bare @comment without a group: nothing to skip
             return
-        end = self._block_end(self.pos + 1, "}" if ch == "{" else ")")
+        end = self._block_end(self.pos + 1, "}" if ch == "{" else ")", len(self.text))
         if end is None:
             raise _Fault(f"unbalanced braces in @{kind} block", at, self._next_block(self.pos))
         self.pos = end
 
     def _open_block(self, what: str) -> str:
         """Step into the block after ``what``; return the char that closes it."""
-        ch = self._peek()
+        ch = self.text[self.pos:self.pos + 1]
         if ch not in ("{", "("):
             raise _Fault(f"expected '{{' after {what}", self.pos, self.pos)
         self.pos += 1
@@ -240,14 +256,14 @@ class _Scanner:
         name = m.group(0).lower()
         self.pos = m.end()
         self._skip_ws()
-        if self._peek() != "=":
+        if self.text[self.pos:self.pos + 1] != "=":
             raise _Fault(f"expected '=' in @string definition of '{name}'", self.pos,
                          self._rest(close_ch))
         self.pos += 1
         self._skip_ws()
         value = self._read_value(f"@string '{name}'", None, close_ch)
         self._skip_ws()
-        if self._peek() != close_ch:
+        if self.text[self.pos:self.pos + 1] != close_ch:
             raise _Fault(f"expected '{close_ch}' after @string '{name}'", self.pos,
                          self._rest(close_ch))
         self.pos += 1
@@ -261,18 +277,18 @@ class _Scanner:
         cite_key = m.group(0)
         self.pos = m.end()
         fields = self._read_fields(cite_key, close_ch, at)
+        offset = self._byte(at)
         if cite_key in self._first_seen:
-            first = self._byte(self._first_seen[cite_key])
-            raise _Fault(f"duplicate cite key '{cite_key}' "
-                         f"(first at byte {first}, again at byte {self._byte(at)})",
+            raise _Fault(f"duplicate cite key '{cite_key}' (first at byte "
+                         f"{self._first_seen[cite_key]}, again at byte {offset})",
                          at, self.pos, cite_key)
-        self._first_seen[cite_key] = at
-        self.entries.append(RawEntry(kind, cite_key, fields, offset=self._byte(at)))
+        self._first_seen[cite_key] = offset
+        self.entries.append(RawEntry(kind, cite_key, fields, offset))
 
     def _read_fields(self, cite_key: str, close_ch: str, at: int) -> dict[str, str]:
         """The fields after the cite key, through the entry's close."""
         self._skip_ws()
-        ch = self._peek()
+        ch = self.text[self.pos:self.pos + 1]
         if ch == ",":
             self.pos += 1
         elif ch != close_ch:
@@ -296,11 +312,11 @@ class _Scanner:
                              self.pos, self._rest(close_ch), cite_key)
         # No field head here: the entry closes, or this is where it breaks.
         self._skip_ws()
-        ch = self._peek()
+        ch = self.text[self.pos:self.pos + 1]
         if ch == close_ch:
             self.pos += 1
             return fields
-        if ch is None:
+        if not ch:
             raise _Fault(f"unterminated entry '{cite_key}' (missing '{close_ch}')",
                          at, self.pos, cite_key)
         m = _FIELD_NAME.match(self.text, self.pos)
@@ -321,6 +337,7 @@ class _Scanner:
             kind = m.group(0).lower()
             self.pos = m.end()
             self._skip_ws()
+            self._cursor = (at, self._byte(at))
             try:
                 if kind in _SKIPPED_KINDS:
                     self._skip_block(kind, at)

@@ -8,7 +8,8 @@ the report; enrichment never aborts the pipeline.
 The cache is an append-only TSV, one record per line:
 ``key<TAB>count<TAB>timestamp`` where key hashes the lookup triple. Later
 lines for the same key win, so updates are plain appends and the file stays
-diff-friendly.
+diff-friendly. Only the first two fields are read: a ``key<TAB>count`` line
+with no timestamp is a hit as well.
 """
 
 from __future__ import annotations

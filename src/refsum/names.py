@@ -9,6 +9,7 @@ the key ``smith.j``. Anything finer would need real author disambiguation.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 # Lowercase tokens folded into the family name in "Given ... Family" form,
 # so "Ludwig van Beethoven" keeps "van Beethoven" as the family.
@@ -76,6 +77,7 @@ def _clean(part: str) -> str:
     return " ".join(part.replace("{", "").replace("}", "").split())
 
 
+@lru_cache(maxsize=4096)   # bounded and process-wide, as ``re`` keeps its patterns
 def _parse_one(raw: str) -> PersonName | None:
     raw = _clean(raw)
     if not raw or raw.lower() == "others":
@@ -99,9 +101,5 @@ def parse_person_names(field: str) -> list[PersonName]:
     Supports both "Family, Given" and "Given Family" forms; a bare
     ``others`` token (the et-al. convention) is dropped.
     """
-    names = []
-    for part in _AND_SPLIT.split(field.strip()):
-        name = _parse_one(part)
-        if name is not None:
-            names.append(name)
-    return names
+    return [name for part in _AND_SPLIT.split(field.strip())
+            if (name := _parse_one(part)) is not None]

@@ -208,6 +208,13 @@ def _parse_year(raw: str | None) -> int | None:
     return year
 
 
+@lru_cache(maxsize=1024)   # bounded and process-wide, as ``re`` keeps its patterns
+def _venue(raw: str, taxonomy: VenueTaxonomy) -> tuple[str, str | None, str | None, str | None]:
+    """A venue value's cleaned name, then its type, domain and subdomain."""
+    name = de_latex(raw)
+    return (name, *taxonomy.classify(name)) if name else (name, None, None, None)
+
+
 def to_reference_record(entry, taxonomy: VenueTaxonomy | None = None,
                         warnings: list[str] | None = None) -> ReferenceRecord:
     """Map one RawEntry onto a ReferenceRecord; total, never raises.
@@ -233,28 +240,17 @@ def to_reference_record(entry, taxonomy: VenueTaxonomy | None = None,
     if year is None:
         warnings.append(f"{entry.cite_key}: no usable year")
 
-    venue_name = ""
+    venue_name, taxo_type, domain, subdomain = "", None, None, None
     for venue_field in _VENUE_FIELDS.get(kind, _DEFAULT_VENUE_FIELDS):
         if fields.get(venue_field):
-            venue_name = de_latex(fields[venue_field])
+            venue_name, taxo_type, domain, subdomain = _venue(fields[venue_field], taxonomy)
             break
     if not venue_name:
         warnings.append(f"{entry.cite_key}: no venue field")
-
-    taxo_type, domain, subdomain = taxonomy.classify(venue_name) if venue_name \
-        else (None, None, None)
     venue_type = _KIND_VENUE_TYPE.get(kind) or taxo_type or "other"
 
-    return ReferenceRecord(
-        id=entry.cite_key,
-        title=title,
-        authors=authors,
-        year=year,
-        venue_name=venue_name,
-        venue_type=venue_type,
-        domain=domain,
-        subdomain=subdomain,
-    )
+    return ReferenceRecord(entry.cite_key, title, authors, year, venue_name, venue_type,
+                           domain, subdomain)
 
 
 def derive_self_citations(records: list[ReferenceRecord],

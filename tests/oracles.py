@@ -194,6 +194,18 @@ def brute_family_key(family):
     return re.sub(r"\s+", " ", family.strip().lower())
 
 
+def brute_brace_close(text):
+    """Where each ``{`` that closes is closed, by one stack walk over the
+    whole text; a ``}`` with nothing open is skipped."""
+    close, opened = {}, []
+    for i, ch in enumerate(text):
+        if ch == "{":
+            opened.append(i)
+        elif ch == "}" and opened:
+            close[opened.pop()] = i
+    return close
+
+
 def serialize_entries(entries):
     """Write entries back out as BibTeX; inverse of parsing up to layout."""
     blocks = []

@@ -6,8 +6,9 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import serialize_entries
+from oracles import brute_brace_close, serialize_entries
 from refsum import BibParseError, parse_bibtex, scan_bibtex
+from refsum.bibtex import _Scanner
 
 # BibTeX punctuation and block openers, plus 2-, 3- and 4-byte UTF-8 characters.
 _FRAGMENTS = ["@misc{", "@misc{k,", "@string{", "@comment{", "@", "{", "}", "(", ")", ",",
@@ -141,6 +142,25 @@ def test_entry_on_the_line_after_a_malformed_one_survives():
         assert [e.cite_key for e in entries] == ["a", "c", "d"]
         errors = [i for i in issues if i.severity == "error"]
         assert len(errors) == 1 and errors[0].cite_key == "b"
+
+
+@pytest.mark.parametrize("indent", [" ", "\t ", "\u3000\u3000"])
+def test_an_indented_entry_on_the_line_after_a_broken_one_survives(indent):
+    # the fault is found at the indented '@' itself, which starts a block
+    text = f"@misc{{a, title={{A}}\n{indent}@article{{b, title={{B}}}}\n@misc{{c}}\n"
+    entries, issues = scan_bibtex(text)
+    assert [e.cite_key for e in entries] == ["b", "c"]
+    assert [(i.cite_key, i.message) for i in issues] == [
+        ("a", "expected ',' or '}' after field 'title' in entry 'a'")]
+
+
+def test_blocks_packed_with_no_space_between_them_all_read():
+    # each step past an opening brace, a '#', a ',' or a close lands on a
+    # char that counts
+    entries, issues = scan_bibtex('@comment{}@string{s={S}}@misc{k,a={1},b=s#{x}}@misc{m}')
+    assert [(e.cite_key, e.fields, e.offset) for e in entries] == [
+        ("k", {"a": "1", "b": "Sx"}, 24), ("m", {}, 46)]
+    assert issues == []
 
 
 def test_unbalanced_macro_costs_only_the_macro():
@@ -403,6 +423,37 @@ def test_offsets_are_utf8_byte_offsets(text):
         data[:issue.offset].decode("utf-8")  # raises if inside a character
 
 
+class _PrefixScanner(_Scanner):
+    """Offsets by encoding the whole prefix at every call."""
+
+    def _byte(self, pos: int) -> int:
+        return len(self.text[:pos].encode("utf-8"))
+
+
+# Braces, quotes and block syntax, with 2- and 4-byte characters between them.
+brace_text = st.lists(st.sampled_from(["{", "}", '"', "@", ",", "=", "\n", " ", "é", "😀",
+                                       "@misc{k,", "\n@misc{k,", "t={"]),
+                      max_size=80).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(brace_text, st.randoms(use_true_random=False))
+@example("{{}", None)
+@example("{a{b{c}d}e}{", None)
+def test_each_brace_close_agrees_with_one_walk_over_the_text(text, rng):
+    expected = brute_brace_close(text)
+    opens = [i for i, ch in enumerate(text) if ch == "{"]
+    orders = [opens, opens[::-1]]
+    if rng is not None:
+        orders.append(rng.sample(opens, len(opens)))
+    for order in orders:
+        scanner = _Scanner(text)
+        assert {i: scanner._close_of(i) for i in order} == \
+               {i: expected.get(i) for i in order}
+    entries, issues = scan_bibtex(text)
+    assert _PrefixScanner(text).scan() == (entries, issues)
+
+
 def test_offsets_after_multibyte_characters_are_pinned():
     text = ("% Références — 😀\n"
             "@misc{café, note={€ one}}\n"
@@ -459,6 +510,45 @@ def test_scan_time_grows_linearly_in_broken_values(data_dir):
     # Each value that never closes must not rescan the file: about 1x when
     # the block structure is computed once, about 17x when each walks to EOF.
     assert best[40] < 4 * best[1]
+
+
+def test_scan_time_stays_flat_in_blocks_broken_as_the_benchmark_breaks_them(data_dir):
+    text = _scaled_fixture(data_dir, 40)
+    block = "@article{{broken{}, title={{Unclosed {{brace}}, year=2021}}\n"
+    broken = {n: re.sub(r"^@", lambda m, k=iter(range(n)): block.format(next(k)) + "@",
+                        text, count=n, flags=re.M) for n in (1, 40)}
+    for n, bib in broken.items():
+        entries, issues = scan_bibtex(bib)
+        assert len(entries) == 40 * 43
+        assert [(i.severity, i.cite_key) for i in issues] == \
+               [("error", f"broken{k}") for k in range(n)]
+    best = {n: float("inf") for n in broken}
+    for _ in range(3):  # interleaved, so both see the same machine load
+        for n, bib in broken.items():
+            start = time.perf_counter()
+            scan_bibtex(bib)
+            best[n] = min(best[n], time.perf_counter() - start)
+    # A broken block's rest ends at the next line-start '@', so 40 of them
+    # cost about what one does: about 1x.
+    assert best[40] < 4 * best[1]
+
+
+def test_scan_time_grows_linearly_on_one_line_with_many_faults(data_dir):
+    # Every title lacks its comma, and the file has no line break.
+    small, large = (_scaled_fixture(data_dir, n).replace("},\n  author", "} author")
+                    .replace("\n", " ") for n in (5, 40))
+    entries, issues = scan_bibtex(large)
+    assert len(issues) > 1000 and {i.severity for i in issues} == {"error"}
+    best = {small: float("inf"), large: float("inf")}
+    for _ in range(3):  # interleaved, so both sizes see the same machine load
+        for text in (small, large):
+            start = time.perf_counter()
+            scan_bibtex(text)
+            best[text] = min(best[text], time.perf_counter() - start)
+    # 8x the faults on one line: about 8x the time when one search for the
+    # next line-start '@' serves them all, about 64x when each fault searches
+    # to the end of the line again, or from its start.
+    assert best[large] < 20 * best[small]
 
 
 def test_round_trip_on_fixture_corpus(data_dir):

@@ -149,6 +149,12 @@ def test_negative_cache_count_is_skipped_as_corrupt(tmp_path):
     assert (cache.get("k1"), cache.get("k2"), len(cache)) == (3, None, 1)
 
 
+def test_a_cache_line_without_a_timestamp_is_a_hit(tmp_path):
+    (tmp_path / "citations.tsv").write_text("k1\t4\nk2\t6\tx\tmore\nk3\n")
+    cache = CountCache(tmp_path)
+    assert (cache.get("k1"), cache.get("k2"), cache.get("k3"), len(cache)) == (4, 6, None, 2)
+
+
 def test_bytes_that_are_not_utf8_spoil_only_their_own_cache_line(tmp_path):
     (tmp_path / "citations.tsv").write_bytes(b"k1\t3\tx\nk2\t\xff\tx\nk3\t5\tx\n")
     cache = CountCache(tmp_path)

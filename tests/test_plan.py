@@ -6,7 +6,7 @@ import pytest
 
 from refsum import (AuthorList, CategoricalQuant, CitingPaper, CombinedYearSelfCite,
                     ConfigError, DominatingShape, FeatureWithComparison, GroupTopList,
-                    IntroWithLeadAttribute, PlanningError, ReferenceRecord,
+                    IntroWithLeadAttribute, PersonName, PlanningError, ReferenceRecord,
                     build_prodset_plan, build_refset_plan, build_profile,
                     default_prodset_config, default_refset_config, plan_to_text, realize)
 from refsum.config import AttributeSpec
@@ -132,6 +132,36 @@ def test_refset_plans_a_listed_continuous_attribute_as_its_range(fixture20_paper
     assert "message\tContinuousRange\tattribute=year" in plan_to_text(plan).splitlines()
     assert realize(plan, default_pack()).paragraphs[1] == \
         "The year ranges from 1998 to 2015, centred on 2011."
+
+
+def test_refset_years_come_from_the_continuous_combined_attribute(fixture20_paper):
+    config = default_refset_config()
+    flag_first = config._replace(attributes=(*config.attributes[:3], config.attributes[4],
+                                             config.attributes[3]))
+    profile = build_profile(fixture20_paper, flag_first)
+    years = next(p for p in build_refset_plan(profile, flag_first).paragraphs
+                 if p.label == "years")
+    assert years.message.summary == profile.continuous["year"]
+    assert years.message.share == profile.self_citation_share
+
+
+def test_refset_plans_a_year_range_without_a_self_citation_share(fixture20_paper):
+    unflagged = tuple(r._replace(self_citation=None) for r in fixture20_paper.references)
+    profile = build_profile(CitingPaper(references=unflagged), default_refset_config())
+    years = next(p for p in build_refset_plan(profile, default_refset_config()).paragraphs
+                 if p.label == "years")
+    assert years.message == CombinedYearSelfCite(profile.continuous["year"], None)
+
+
+def test_refset_authors_with_one_counted_paper_each_are_counted():
+    records = tuple(ReferenceRecord(id=f"r{i}", venue_type="journal", year=2000 + i,
+                                    authors=(PersonName(f"Author{i}", "A."),),
+                                    citation_count=i + 1)
+                    for i in range(3))
+    profile = build_profile(CitingPaper(references=records), default_refset_config())
+    assert {a.counted_papers for a in profile.top_authors} == {1}
+    authors = build_refset_plan(profile, default_refset_config()).paragraphs[-1].message
+    assert authors == AuthorList(profile.top_authors, True)
 
 
 def test_refset_missing_fragment_names_it(refset_profile):

@@ -12,8 +12,10 @@ from oracles import (brute_de_latex, brute_family_key, brute_load_record_lines,
                      brute_name_clean)
 from refsum import (ConfigError, PersonName, RawEntry, ReferenceRecord, StaticCountProvider,
                     de_latex, derive_self_citations, enrich_citation_counts,
-                    load_record_lines, load_taxonomy, parse_person_names,
-                    to_reference_record)
+                    load_record_lines, load_taxonomy, load_taxonomy_file, parse_bibtex,
+                    parse_person_names, to_reference_record)
+from refsum.names import _parse_one
+from refsum.records import _venue
 from refsum.errors import RecordFileError
 from refsum.names import _clean
 
@@ -210,6 +212,41 @@ def test_mapping_is_total_and_warns_on_gaps():
     assert record.id == "k1"
     assert record.year is None and record.authors == ()
     assert len(warnings) >= 3  # title, authors, year (and venue)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_taxonomies_that_disagree_classify_one_venue_each_by_its_own_rules(first):
+    taxonomies = [load_taxonomy("press\tbook\tarts\tprint\n"),
+                  load_taxonomy("press\tjournal\tnews\tdaily\n")]
+    entry = _entry("misc", howpublished="Daily {P}ress")
+    order = [first, 1 - first, first, 1 - first]
+    got = [to_reference_record(entry, taxonomies[i]) for i in order]
+    assert [(r.venue_name, r.venue_type, r.domain, r.subdomain) for r in got] == [
+        [("Daily Press", "book", "arts", "print"),
+         ("Daily Press", "journal", "news", "daily")][i] for i in order]
+
+
+def test_records_are_equal_with_the_memos_cleared_and_warm(data_dir):
+    entries = parse_bibtex((data_dir / "fixture43.bib").read_text())
+    taxonomy = load_taxonomy_file(data_dir / "fixture.tax")
+
+    def mapped():
+        warnings: list[str] = []
+        records = [to_reference_record(e, taxonomy, warnings) for e in entries]
+        return records, warnings
+
+    _parse_one.cache_clear()
+    _venue.cache_clear()
+    cold = mapped()
+    misses = (_parse_one.cache_info().misses, _venue.cache_info().misses)
+    assert misses[1] < len(entries)   # the entries repeat their venues
+    assert mapped() == cold
+    assert (_parse_one.cache_info().misses, _venue.cache_info().misses) == misses
+
+
+@pytest.mark.parametrize("memo", [_parse_one, _venue])
+def test_each_memo_is_bounded(memo):
+    assert type(memo.cache_info().maxsize) is int
 
 
 def test_year_out_of_range_dropped():
