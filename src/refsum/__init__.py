@@ -20,13 +20,13 @@ from .plan import (AuthorList, CategoricalQuant, CombinedYearSelfCite, Continuou
                    build_prodset_plan, build_refset_plan, plan_to_text)
 from .profile import (AuthorScore, CategoricalDistribution, ComparisonResult,
                       ContinuousSummary, DistributionEntry,
-                      GroupTop, GroupTopEntry, Quantifier, SetProfile,
+                      GroupTop, GroupTopEntry, SetProfile,
                       build_profile, categorical_distribution, continuous_summary,
                       feature_importance, profile_to_text, quantifier_for,
                       self_citation_share, subset_vs_superset, top_authors,
                       top_reference_per_group)
 from .realize import (RealizedSummary, aggregate_list, format_number,
-                      format_percentage, format_year, quantifier_sentence, realize)
+                      format_percentage, format_year, realize)
 from .records import (CitingPaper, ReferenceRecord, TaxonomyRule, VenueTaxonomy,
                       de_latex, derive_self_citations,
                       load_record_lines, load_taxonomy, load_taxonomy_file,

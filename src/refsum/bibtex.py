@@ -1,4 +1,4 @@
-"""Hand-rolled BibTeX reader and writer.
+"""Hand-rolled BibTeX reader.
 
 Covers the subset that reference managers actually emit: ``@kind{key, ...}``
 entries with brace- or quote-delimited values, arbitrarily nested braces
@@ -81,7 +81,7 @@ class RawEntry(NamedTuple):
     entry_kind: str
     cite_key: str
     fields: dict[str, str]
-    offset: int = 0
+    offset: int
 
 
 class _Fault(Exception):

@@ -129,8 +129,7 @@ def _merge_run_config(args: argparse.Namespace) -> RunConfig:
 def _load_records(run: RunConfig, warnings: list[str]):
     text = _read_text(run.input_path, "input", InputError)
     stripped = text.removeprefix("\ufeff").lstrip()   # as load_record_lines reads it
-    is_bibtex = run.input_path.endswith(".bib") or stripped.startswith("@")
-    if not is_bibtex and stripped.startswith("{"):
+    if not run.input_path.endswith(".bib") and stripped.startswith("{"):
         return load_record_lines(text, warnings)
     taxonomy = load_taxonomy(_read_text(run.taxonomy, "taxonomy", InputError)) \
         if run.taxonomy else VenueTaxonomy()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from enum import IntEnum
 from operator import attrgetter
 from typing import Any, NamedTuple
 
@@ -29,27 +28,13 @@ _DEFAULT_QT = QuantifierThresholds()
 _DEFAULT_CB = ComparisonBands()
 
 
-class Quantifier(IntEnum):
-    """Vague quantity words, ordered so that more means greater."""
-
-    SOME = 1
-    LARGE_PROPORTION = 2
-    MOST = 3
-
-    @property
-    def label(self) -> str:
-        return {Quantifier.SOME: "some",
-                Quantifier.LARGE_PROPORTION: "large",
-                Quantifier.MOST: "most"}[self]
-
-
 # -- profile fragment types ---------------------------------------------------
 
 class DistributionEntry(NamedTuple):
     value: str
     count: int
     proportion: float
-    bucket: Quantifier
+    bucket: str   # some | large | most
 
 
 class CategoricalDistribution(NamedTuple):
@@ -69,7 +54,7 @@ class ContinuousSummary(NamedTuple):
 class GroupTopEntry(NamedTuple):
     group_value: str
     share: float
-    bucket: Quantifier
+    bucket: str   # some | large | most
     top_reference: str
     top_count: int | None
     top_title: str = ""
@@ -96,7 +81,10 @@ class ComparisonResult(NamedTuple):
     magnitude: str   # much | slightly | same
 
 
-class _Profile(NamedTuple):
+class SetProfile(NamedTuple):
+    """Every statistic of one set; the per-attribute fragments are keyed by
+    attribute name, in configuration order."""
+
     total: int
     distributions: dict[str, CategoricalDistribution]
     continuous: dict[str, ContinuousSummary]
@@ -106,21 +94,6 @@ class _Profile(NamedTuple):
     importance: tuple[tuple[str, float], ...] | None
     comparisons: dict[str, ComparisonResult]
     self_citation_share: float | None
-
-
-class SetProfile(_Profile):
-    """Every statistic of one set; the per-attribute fragments are keyed by
-    attribute name, in configuration order."""
-
-    __slots__ = ()
-
-    def __new__(cls, total, distributions=None, continuous=None, dominating_shape=None,
-                group_tops=None, top_authors=(), importance=None, comparisons=None,
-                self_citation_share=None):
-        """A dict fragment left out, None or empty is a new dict of its own."""
-        return super().__new__(cls, total, distributions or {}, continuous or {},
-                               dominating_shape, group_tops or {}, top_authors, importance,
-                               comparisons or {}, self_citation_share)
 
 
 # -- record access ------------------------------------------------------------
@@ -205,16 +178,17 @@ def _median(values: Sequence[float]) -> float:
 # -- operations ---------------------------------------------------------------
 
 def quantifier_for(proportion: float,
-                   thresholds: QuantifierThresholds = _DEFAULT_QT) -> Quantifier:
-    """Bucket a proportion: most at or above ``thresholds.most``, large
-    proportion at or above ``thresholds.large``, else some."""
+                   thresholds: QuantifierThresholds = _DEFAULT_QT) -> str:
+    """The quantifier word of a proportion: ``"most"`` at or above
+    ``thresholds.most``, ``"large"`` at or above ``thresholds.large``, else
+    ``"some"``."""
     if not 0.0 < proportion <= 1.0:
         raise ValueError(f"proportion {proportion!r} outside (0, 1]")
     if proportion >= thresholds.most:
-        return Quantifier.MOST
+        return "most"
     if proportion >= thresholds.large:
-        return Quantifier.LARGE_PROPORTION
-    return Quantifier.SOME
+        return "large"
+    return "some"
 
 
 def categorical_distribution(records: Sequence[Any], attribute: str,
@@ -514,7 +488,7 @@ def profile_to_text(profile: SetProfile) -> str:
     for dist in profile.distributions.values():
         lines.append(f"distribution\t{dist.attribute}\ttotal={dist.total}")
         for e in dist.entries:
-            lines.append(f"entry\t{e.value}\t{e.count}\t{e.proportion!r}\t{e.bucket.label}")
+            lines.append(f"entry\t{e.value}\t{e.count}\t{e.proportion!r}\t{e.bucket}")
     lines += [_summary_line("continuous", summary) for summary in profile.continuous.values()]
     if profile.dominating_shape is not None:
         lines.append(_summary_line("shape", profile.dominating_shape))
@@ -523,7 +497,7 @@ def profile_to_text(profile: SetProfile) -> str:
         for e in top.entries:
             count = e.top_count if e.top_count is not None else "-"
             lines.append(f"group\t{e.group_value}\tshare={e.share!r}"
-                         f"\tbucket={e.bucket.label}\ttop={e.top_reference}\tcount={count}")
+                         f"\tbucket={e.bucket}\ttop={e.top_reference}\tcount={count}")
     for a in profile.top_authors:
         lines.append(f"author\t{a.author.normalized_key}\t{a.author.display()}"
                      f"\tscore={a.score}\tpapers={a.paper_count}\tcounted={a.counted_papers}")

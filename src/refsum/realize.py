@@ -16,7 +16,7 @@ from .errors import RealizationError
 from .plan import (AuthorList, CategoricalQuant, CombinedYearSelfCite, ContinuousRange,
                    DocumentPlan, DominatingShape, FeatureWithComparison, GroupTopList,
                    IntroWithLeadAttribute)
-from .profile import AuthorScore, ContinuousSummary, Quantifier
+from .profile import AuthorScore, ContinuousSummary
 from .templates import TemplatePack, default_pack
 
 
@@ -61,25 +61,13 @@ def aggregate_list(items: list[str]) -> str:
 
 # -- sentence builders ----------------------------------------------------------
 
-def quantifier_sentence(bucket: Quantifier, value: str, percentage: str,
-                        position: str, *, pack: TemplatePack | None = None,
-                        attribute: str = "") -> str:
-    """One quantified sentence; the first position names the set noun, later
-    positions elide it."""
-    if position not in ("first", "subsequent"):
-        raise ValueError(f"position must be first or subsequent, not {position!r}")
-    pack = pack or default_pack()
-    base = f"quant.{bucket.label}.{position}"
-    keys = (f"quant.{attribute}.{bucket.label}.{position}", base) if attribute else (base,)
-    return pack.render(*keys, value=value, percentage=percentage)
-
-
-def _quant_item(pack: TemplatePack, attribute: str, index: int, bucket: Quantifier,
+def _quant_item(pack: TemplatePack, attribute: str, index: int, bucket: str,
                 token: str, share: float) -> str:
-    """The quantifier sentence for the ``index``-th value of ``attribute``."""
-    return quantifier_sentence(bucket, pack.lexeme(attribute, token), format_percentage(share),
-                               "first" if index == 0 else "subsequent",
-                               pack=pack, attribute=attribute)
+    """The quantifier sentence for the ``index``-th value of ``attribute``: the
+    first names the set noun, later ones elide it."""
+    key = f"{bucket}.{'first' if index == 0 else 'subsequent'}"
+    return pack.render(f"quant.{attribute}.{key}", f"quant.{key}",
+                       value=pack.lexeme(attribute, token), percentage=format_percentage(share))
 
 
 def _render_quant(pack: TemplatePack, message: CategoricalQuant | IntroWithLeadAttribute

@@ -173,8 +173,7 @@ def load_taxonomy(text: str) -> VenueTaxonomy:
         cols = [c.strip() for c in line.split("\t")]
         if len(cols) < 2:
             raise ConfigError(f"taxonomy line {lineno}: expected tab-separated columns")
-        cols += [""] * (4 - len(cols))
-        pattern, venue_type, domain, subdomain = cols[:4]
+        pattern, venue_type, domain, subdomain = (cols + ["", ""])[:4]
         if not pattern:
             raise ConfigError(f"taxonomy line {lineno}: empty pattern")
         venue_type = venue_type if venue_type not in ("", "-") else None

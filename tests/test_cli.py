@@ -126,6 +126,21 @@ def test_empty_reference_list_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_a_plain_text_file_that_is_not_bib_is_scanned_as_bibtex(capsys, tmp_path):
+    notes = tmp_path / "notes.txt"
+    notes.write_text("just some words\n")
+    assert _run(capsys, "summarize", str(notes)) == \
+        (1, "", f"refsum: {notes}: no usable entries\n")
+
+
+def test_no_usable_entries_counts_the_errors_and_not_the_warnings(capsys, tmp_path):
+    bib = tmp_path / "broken.bib"   # one duplicate-field warning, two errors
+    bib.write_text("@article{a, title={T}, title={U}, year=}\n"
+                   "@article{b, title={V} year={2000}}\n")
+    assert _run(capsys, "summarize", str(bib)) == \
+        (1, "", f"refsum: {bib}: no usable entries (2 errors)\n")
+
+
 def test_config_error_exit_two(capsys, data_dir):
     code, _, err = _run(capsys, "summarize", str(data_dir / "fixture20.bib"),
                         "--provider", "mock")

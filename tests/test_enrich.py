@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import re
 import threading
@@ -67,6 +68,12 @@ def test_counts_file_holding_anything_but_non_negative_ints_is_refused(tmp_path,
         StaticCountProvider.from_file(path)
 
 
+def test_a_counts_file_may_hold_a_zero_count(tmp_path):
+    path = tmp_path / "counts.json"
+    path.write_text('{"A": 0}')
+    assert StaticCountProvider.from_file(path).resolve("A", "Smith", 2014) == 0
+
+
 def test_cache_hit_skips_provider(tmp_path):
     cache = CountCache(tmp_path)
     cache.put(lookup_key("T", "Smith", 2014), 120)
@@ -91,6 +98,17 @@ def test_preexisting_counts_untouched():
                                              StaticCountProvider({"T": 99}))
     assert records[0].citation_count == 5
     assert report.already_present == 1
+
+
+def test_the_report_counts_each_record_once(tmp_path):
+    cache = CountCache(tmp_path)
+    cache.update({lookup_key("Cached", "Smith", 2014): 7})
+    base = [_record("a", "Present", count=1), _record("b", "Cached"), _record("c", "Found"),
+            _record("d", "Missing")]
+    _, report = enrich_citation_counts(base, StaticCountProvider({"Found": 3}), cache)
+    assert report == (3, 1, 1, 1, 1, [])
+    _, report = enrich_citation_counts(base, None, cache)   # a cache miss is not found
+    assert report == (3, 1, 2, 0, 1, [])
 
 
 def test_idempotent_with_warm_cache(tmp_path):
@@ -181,7 +199,8 @@ def test_concurrent_cache_writes_stay_intact(tmp_path):
 
 
 
-def test_blocking_provider_lookups_run_concurrently_in_input_order():
+@pytest.mark.parametrize("n", [2, 4])
+def test_blocking_provider_lookups_run_concurrently_in_input_order(n):
     class Blocking:
         blocking = True
 
@@ -194,11 +213,11 @@ def test_blocking_provider_lookups_run_concurrently_in_input_order():
             time.sleep(0.01 * (4 - int(title)))
             return int(title)
 
-    base = [_record(str(i), str(i)) for i in range(4)]
+    base = [_record(str(i), str(i)) for i in range(n)]
     records, report = enrich_citation_counts(base, Blocking(), max_workers=2)
-    assert [r.citation_count for r in records] == [0, 1, 2, 3]
+    assert [r.citation_count for r in records] == list(range(n))
     assert [r.id for r in records] == [r.id for r in base]
-    assert report.provider_hits == 4
+    assert report.provider_hits == n
 
 
 def test_in_memory_provider_starts_no_thread(tmp_path, monkeypatch):
@@ -246,6 +265,21 @@ def test_one_cache_append_per_pass(tmp_path, monkeypatch):
     _, report = enrich_citation_counts(base, provider, cache)
     assert report.cache_hits == 10
     assert appends == ["citations.tsv"]   # a pass with nothing new writes nothing
+
+
+def test_the_cache_appends_through_an_unbuffered_handle(tmp_path, monkeypatch):
+    handles = []
+    real_open = Path.open
+
+    def recording_open(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        if "a" in mode:
+            handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    CountCache(tmp_path).update({"k": 1})
+    assert [type(handle) for handle in handles] == [io.FileIO]
 
 
 @pytest.mark.parametrize("blocks", [False, True])
@@ -330,6 +364,18 @@ def test_http_provider_year_fallback_and_miss(fake_scholar):
     assert provider.resolve("Some Title", "Smith", 2014) == 7
     fake_scholar.body = b'{"data": []}'
     assert provider.resolve("Some Title", "Smith", 2014) is None
+
+
+@pytest.mark.parametrize("years, expected", [
+    ((2012, 2015), 15), ((2016, 2013), 13), ((2012, 2016), None), ((None, 2014), 14),
+])
+def test_http_provider_falls_back_to_a_hit_at_most_one_year_off(fake_scholar, years,
+                                                                 expected):
+    provider = _answer(fake_scholar, {"data": [
+        {"title": f"Variant {i}", "year": year, "citationCount": (year or 2099) - 2000}
+        for i, year in enumerate(years)]})
+    assert provider.resolve("Some Title", "Smith", 2014) == expected
+    assert provider.resolve("Some Title", "Smith", None) is None
 
 
 def test_http_provider_transport_failure_raises_provider_error():

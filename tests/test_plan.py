@@ -171,6 +171,11 @@ def test_refset_missing_fragment_names_it(refset_profile):
         build_refset_plan(broken, config)
 
 
+def test_a_refset_plan_of_a_config_without_a_lead_attribute_is_refused(prodset_profile):
+    with pytest.raises(PlanningError, match="^missing profile fragment: lead attribute$"):
+        build_refset_plan(prodset_profile, default_prodset_config())
+
+
 def test_refset_never_plans_dominating_shape(refset_profile):
     plan = build_refset_plan(refset_profile, default_refset_config())
     kinds = {type(p.message) for p in plan.paragraphs}
@@ -217,6 +222,16 @@ def test_prodset_requires_dominating_values():
     config = default_prodset_config()
     profile = build_profile(CitingPaper(references=records), config)
     with pytest.raises(PlanningError, match="dominating"):
+        build_prodset_plan(profile, config)
+
+
+def test_prodset_with_one_dominating_value_has_no_feature_importance():
+    records = (ReferenceRecord(id="a", venue_type="journal", citation_count=5),
+               ReferenceRecord(id="b", venue_type="book"))
+    config = default_prodset_config()
+    profile = build_profile(CitingPaper(references=records), config)
+    assert profile.dominating_shape is not None and profile.importance is None
+    with pytest.raises(PlanningError, match="^missing profile fragment: feature importance$"):
         build_prodset_plan(profile, config)
 
 

@@ -8,17 +8,18 @@ from oracles import brute_percentage
 from refsum import (AuthorList, CategoricalQuant, CitingPaper, CombinedYearSelfCite,
                     ContinuousRange, DocumentPlan, DominatingShape,
                     FeatureWithComparison, GroupTopList, IntroWithLeadAttribute,
-                    Message, Paragraph, Quantifier, RealizationError,
+                    Message, Paragraph, RealizationError,
                     ReferenceRecord, TemplateError,
                     aggregate_list, build_plan, build_profile, build_refset_plan,
                     default_prodset_config, default_refset_config, format_number,
                     format_percentage, format_year, load_template_pack,
-                    price_pack, quantifier_sentence, realize)
+                    price_pack, realize)
 from refsum.config import AttributeSpec
 from refsum.profile import (AuthorScore, CategoricalDistribution, ComparisonResult,
                             ContinuousSummary, DistributionEntry, GroupTop,
                             GroupTopEntry)
 from refsum.names import PersonName
+from refsum.realize import _quant_item
 from refsum.templates import PRICE_PACK_TEXT, default_pack
 from test_profile import TEN
 
@@ -29,9 +30,9 @@ GOLDEN_VENUE = ("Most references (55%) are from proceedings. "
 
 def _venue_dist():
     return CategoricalDistribution("venue_type", (
-        DistributionEntry("proceedings", 11, 0.55, Quantifier.MOST),
-        DistributionEntry("journal", 6, 0.30, Quantifier.LARGE_PROPORTION),
-        DistributionEntry("book", 3, 0.15, Quantifier.SOME),
+        DistributionEntry("proceedings", 11, 0.55, "most"),
+        DistributionEntry("journal", 6, 0.30, "large"),
+        DistributionEntry("book", 3, 0.15, "some"),
     ), 20)
 
 
@@ -94,18 +95,13 @@ def test_aggregate_list(items, expected):
 # -- quantifier sentences --------------------------------------------------------
 
 def test_quantifier_sentences_match_expected_wording():
-    assert quantifier_sentence(Quantifier.MOST, "proceedings", "55%", "first") == \
+    pack = default_pack()
+    assert _quant_item(pack, "venue_type", 0, "most", "proceedings", 0.55) == \
         "Most references (55%) are from proceedings."
-    assert quantifier_sentence(Quantifier.LARGE_PROPORTION, "journals", "30%",
-                               "subsequent") == \
+    assert _quant_item(pack, "venue_type", 1, "large", "journal", 0.30) == \
         "A large proportion is from journals (30%)."
-    assert quantifier_sentence(Quantifier.SOME, "books", "15%", "subsequent") == \
+    assert _quant_item(pack, "venue_type", 2, "some", "book", 0.15) == \
         "Some are from books (15%)."
-
-
-def test_quantifier_sentence_bad_position():
-    with pytest.raises(ValueError):
-        quantifier_sentence(Quantifier.MOST, "x", "1%", "middle")
 
 
 # -- golden sentence block ---------------------------------------------------------
@@ -212,7 +208,7 @@ def test_author_list_counted_and_uncounted_variants():
 
 def test_group_top_variants():
     def entry(count):
-        return GroupTopEntry("alpha", 0.5, Quantifier.MOST, "r1", count,
+        return GroupTopEntry("alpha", 0.5, "most", "r1", count,
                              top_title="Find Me")
 
     def render(count, show_counts=True):
@@ -262,7 +258,7 @@ def test_unresolved_placeholder_is_an_error_naming_the_slot():
     pack = load_template_pack(
         "[settings]\nnoun = refs\n[quant.most.first]\nMost {nonsense} here.\n")
     plan = DocumentPlan("refset", (Paragraph("v", CategoricalQuant(CategoricalDistribution(
-        "venue_type", (DistributionEntry("a", 1, 1.0, Quantifier.MOST),), 1))),))
+        "venue_type", (DistributionEntry("a", 1, 1.0, "most"),), 1))),))
     with pytest.raises(RealizationError, match="nonsense"):
         realize(plan, pack)
 
@@ -278,7 +274,7 @@ def test_every_template_may_use_the_shared_noun_and_unit_slots():
     authors = AuthorList(authors=(_author("Ann", "Ash", 0, 2, 0),), has_counts=False)
     feature = FeatureWithComparison(
         distribution=CategoricalDistribution("venue_type", (
-            DistributionEntry("journal", 2, 1.0, Quantifier.MOST),), 2),
+            DistributionEntry("journal", 2, 1.0, "most"),), 2),
         comparison=ComparisonResult("venue_type", "journal", 5, 5, "same", "same"))
     plan = DocumentPlan("prodset", (Paragraph("a", authors), Paragraph("f", feature)))
     assert realize(plan, pack).paragraphs == (
@@ -316,6 +312,11 @@ def test_show_counts_setting_reads_yes_no_words(value, shown):
     assert default_pack().with_settings(show_counts=value).show_counts is shown
 
 
+def test_a_body_line_with_one_square_bracket_stays_template_text():
+    pack = load_template_pack("[intro.lead]\n[Draft] {total} {noun}.\nSee {lead_sentences} [1]\n")
+    assert pack.templates == {"intro.lead": "[Draft] {total} {noun}. See {lead_sentences} [1]"}
+
+
 def test_pack_settings_default_and_none_keeps_the_current_value():
     bare = load_template_pack("[range]\n{min} to {max}\n")
     assert (bare.noun, bare.unit, bare.show_counts) == ("items", "", True)
@@ -331,8 +332,7 @@ def test_pack_lexeme_fallback_chain():
 
 
 def test_per_attribute_template_override():
-    sentence = quantifier_sentence(Quantifier.SOME, "databases", "15%",
-                                   "subsequent", attribute="subdomain")
+    sentence = _quant_item(default_pack(), "subdomain", 1, "some", "databases", 0.15)
     assert sentence == "Some are in databases (15%)."
 
 

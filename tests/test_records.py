@@ -142,6 +142,11 @@ def test_first_matching_rule_wins():
     assert taxonomy.classify("The X Review") == ("journal", "first", "one")
 
 
+def test_taxonomy_columns_after_the_fourth_are_ignored():
+    assert load_taxonomy("acl\tproceedings\tcs\tnlp\textra\tmore\n") == \
+        load_taxonomy("acl\tproceedings\tcs\tnlp\n")
+
+
 def test_keyword_match_not_substring():
     taxonomy = load_taxonomy(TAX)
     assert taxonomy.classify("Proceedings of ACL")[1] == "computing-science"
@@ -169,7 +174,7 @@ def test_taxonomy_rejects_bad_venue_type():
 # -- record mapping ----------------------------------------------------------------
 
 def _entry(kind, **fields):
-    return RawEntry(kind, "k1", fields)
+    return RawEntry(kind, "k1", fields, 0)
 
 
 def test_article_maps_to_journal():
@@ -214,6 +219,20 @@ def test_mapping_is_total_and_warns_on_gaps():
     assert len(warnings) >= 3  # title, authors, year (and venue)
 
 
+def test_an_entry_with_no_usable_field_gets_four_warnings_in_order():
+    warnings: list[str] = []
+    to_reference_record(_entry("misc", year="undated"), warnings=warnings)
+    assert warnings == ["k1: no title", "k1: no authors", "k1: no usable year",
+                        "k1: no venue field"]
+
+
+def test_an_entry_with_every_field_gets_no_warning():
+    warnings: list[str] = []
+    to_reference_record(_entry("article", title="T", author="Ann Poe", year="2001",
+                               journal="J"), warnings=warnings)
+    assert warnings == []
+
+
 @pytest.mark.parametrize("first", [0, 1])
 def test_taxonomies_that_disagree_classify_one_venue_each_by_its_own_rules(first):
     taxonomies = [load_taxonomy("press\tbook\tarts\tprint\n"),
@@ -252,6 +271,12 @@ def test_each_memo_is_bounded(memo):
 def test_year_out_of_range_dropped():
     record = to_reference_record(_entry("article", year="987"))
     assert record.year is None
+
+
+@pytest.mark.parametrize("raw, year", [("1000", 1000), ("3000", 3000),
+                                       ("0999", None), ("3001", None)])
+def test_bib_years_from_1000_to_3000_are_kept(raw, year):
+    assert to_reference_record(_entry("article", year=raw)).year == year
 
 
 def test_invalid_venue_type_rejected():
@@ -413,6 +438,12 @@ def test_citation_count_that_is_not_a_non_negative_integer_is_dropped(count):
     [record] = load_record_lines(json.dumps({"id": "r1", "citation_count": count}), warnings)
     assert record.citation_count is None
     assert warnings == [f"r1: invalid citation count {count!r}, dropped"]
+
+
+def test_a_citation_count_of_zero_is_kept():
+    warnings: list[str] = []
+    [record] = load_record_lines(json.dumps({"id": "r1", "citation_count": 0}), warnings)
+    assert (record.citation_count, warnings) == (0, [])
 
 
 def test_author_item_holding_several_names_is_split_with_a_warning():

@@ -5,9 +5,11 @@ A case that changes on purpose is rewritten by ``tests/transcripts.py``.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from transcripts import CASE_DIR, load_case, run_case
+from transcripts import CASE_DIR, run_case
 
 CASES = sorted(CASE_DIR.glob("*.json"))
 
@@ -18,6 +20,6 @@ def test_the_matrix_has_cases():
 
 @pytest.mark.parametrize("path", CASES, ids=[path.stem for path in CASES])
 def test_transcript(path):
-    case = load_case(path)
+    case = json.loads(path.read_text(encoding="utf-8"))
     actual = run_case(case["argv"], case.get("files"))
     assert actual == {key: case[key] for key in ("exit", "stdout", "stderr")}

@@ -19,7 +19,7 @@ from refsum import (AuthorList, AuthorScore, CategoricalDistribution, Categorica
                     ConfigError, ContinuousRange, ContinuousSummary, DistributionEntry,
                     DocumentPlan, DominatingShape, EnrichmentReport, FeatureWithComparison,
                     GroupTop, GroupTopEntry, GroupTopList, IntroWithLeadAttribute, ParseIssue,
-                    Paragraph, PersonName, Quantifier, QuantifierThresholds, RawEntry,
+                    Paragraph, PersonName, QuantifierThresholds, RawEntry,
                     RealizedSummary, ReferenceRecord, SetProfile, SummaryConfig,
                     TaxonomyRule, VenueTaxonomy, default_pack, default_refset_config,
                     plan_to_text)
@@ -31,8 +31,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _NAME = PersonName("Smith", "John")
 _SUMMARY = ContinuousSummary("year", 1998.0, 2015.0, 2011.0, 20)
 _DIST = CategoricalDistribution(
-    "venue_type", (DistributionEntry("journal", 2, 1.0, Quantifier.MOST),), 2)
-_TOP = GroupTop("subdomain", (GroupTopEntry("nlp", 1.0, Quantifier.MOST, "a", 3, "T"),))
+    "venue_type", (DistributionEntry("journal", 2, 1.0, "most"),), 2)
+_TOP = GroupTop("subdomain", (GroupTopEntry("nlp", 1.0, "most", "a", 3, "T"),))
 _AUTHOR = AuthorScore(_NAME, 3, 1, 1)
 _COMPARISON = ComparisonResult("venue_type", "journal", 3.0, 2.0, "higher", "much")
 
@@ -51,7 +51,8 @@ VALUES = [
     RawEntry("article", "k", {"title": "T"}, 5),
     EnrichmentReport(1, 0, 0, 1, 0, []),
     _DIST.entries[0], _DIST, _SUMMARY, _TOP.entries[0], _TOP, _AUTHOR, _COMPARISON,
-    SetProfile(2),
+    SetProfile(2, {"venue_type": _DIST}, {"year": _SUMMARY}, None, {"subdomain": _TOP},
+               (_AUTHOR,), None, {}, None),
     IntroWithLeadAttribute(2, _DIST),
     CategoricalQuant(_DIST),
     ContinuousRange(_SUMMARY),
@@ -112,11 +113,8 @@ def test_a_checked_value_is_checked_however_it_is_built(value, bad, error):
     assert type(kind._make(value)) is kind
 
 
-def test_default_built_profiles_share_no_dict():
-    one, two = SetProfile(1), SetProfile(2)
-    for field in ("distributions", "continuous", "group_tops", "comparisons"):
-        assert getattr(one, field) == {}
-        assert getattr(one, field) is not getattr(two, field)
+def test_a_summary_config_may_list_one_author():
+    assert default_refset_config(author_k=1).author_k == 1
 
 
 def test_plan_to_text_prints_the_fields_in_declaration_order():

@@ -140,7 +140,6 @@ def _cases() -> dict[str, dict]:
         "enrich-without-provider": {"argv": ["enrich", _BIB20, "--cache-dir", f"{TMP}/c"]},
         "enrich-without-cache-dir": {"argv": ["enrich", _BIB20, *_MOCK20]},
         "usage-no-subcommand": {"argv": []},
-        "usage-unknown-algorithm": {"argv": ["summarize", _BIB20, "--algo", "both"]},
         # Planning and realisation errors (exit 3).
         "prodset-without-counts": {"argv": ["summarize", _BIB20, "--algo", "prodset"]},
         "compare-without-counts": {"argv": ["compare", _BIB20, *_TAX]},
@@ -197,10 +196,6 @@ def run_case(argv: list[str], files: dict[str, str] | None = None) -> dict:
                     os.environ[key] = value
     return {"exit": code, "stdout": _lines(out.getvalue().replace(tmp, TMP)),
             "stderr": _lines(err.getvalue().replace(tmp, TMP))}
-
-
-def load_case(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def main() -> int:
