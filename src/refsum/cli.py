@@ -27,7 +27,7 @@ from .config import (ALGORITHMS, LOOKUP_WORKERS, ComparisonBands, QuantifierThre
 from .enrich import (CountCache, ScholarLookupProvider, StaticCountProvider,
                      enrich_citation_counts)
 from .errors import (ConfigError, InputError, PlanningError, RealizationError,
-                     RefsumError, TemplateError)
+                     RecordFileError, RefsumError, TemplateError)
 from .names import parse_person_names
 from .plan import build_plan, plan_to_text
 from .profile import build_profile, profile_to_text
@@ -130,9 +130,15 @@ def _load_records(run: RunConfig, warnings: list[str]):
     text = _read_text(run.input_path, "input", InputError)
     stripped = text.removeprefix("\ufeff").lstrip()   # as load_record_lines reads it
     if not run.input_path.endswith(".bib") and stripped.startswith("{"):
-        return load_record_lines(text, warnings)
-    taxonomy = load_taxonomy(_read_text(run.taxonomy, "taxonomy", InputError)) \
-        if run.taxonomy else VenueTaxonomy()
+        try:
+            return load_record_lines(text, warnings)
+        except RecordFileError as exc:
+            raise RecordFileError(f"{run.input_path}: {exc}")
+    try:
+        taxonomy = load_taxonomy(_read_text(run.taxonomy, "taxonomy", InputError)) \
+            if run.taxonomy else VenueTaxonomy()
+    except ConfigError as exc:
+        raise ConfigError(f"{run.taxonomy}: {exc}")
     entries, issues = scan_bibtex(text)
     errors = [i for i in issues if i.severity == "error"]
     for issue in issues:
@@ -140,6 +146,7 @@ def _load_records(run: RunConfig, warnings: list[str]):
     if run.strict:
         raise_first_error(issues)
     if not entries:
+        _flush_warnings(warnings)   # the issues that explain the error
         raise InputError(f"{run.input_path}: no usable entries"
                          + (f" ({len(errors)} errors)" if errors else ""))
     return [to_reference_record(e, taxonomy, warnings) for e in entries]

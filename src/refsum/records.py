@@ -326,28 +326,42 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
     starts a later line is refused as ``json.loads`` refuses it. A line
     whose ``id`` an earlier line already holds is dropped with a warning.
 
-    Each line is decoded as ``json.loads`` would, with the same error texts.
-    A field of the right JSON type costs one type test; ``_typed`` runs only
-    for one that fails it, and gives the warnings in field order.
+    Each line is decoded as ``json.loads`` would, with the same error texts,
+    in one pass over the text: a line that starts with ``{`` in place, and
+    any other line alone. A field of the right JSON type costs one type test;
+    ``_typed`` runs only for one that fails it, and gives the warnings in
+    field order. Equal categorical values share one object, as author items do.
     """
     if warnings is None:
         warnings = []
     records = []
     first_line: dict[str, int] = {}
     memo: dict[str | tuple[str, str], tuple[PersonName, ...]] = {}
-    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
-        body = line.lstrip(_JSON_SPACE)
-        if not body or body.isspace():
-            continue
-        try:
-            obj, end = _decode(body)
-        except json.JSONDecodeError as exc:
-            raise RecordFileError(f"line {lineno}: not a valid record object "
-                                  f"({_json_error(line, exc)})")
-        if end != len(body) and body[end:].strip(_JSON_SPACE):
-            raise RecordFileError(f"line {lineno}: not a valid record object (Extra data)")
-        if type(obj) is not dict:
-            raise RecordFileError(f"line {lineno}: expected an object")
+    share = {}.setdefault   # venue names, venue types, domains and subdomains
+    size, lineno, pos = len(text), 0, int(text.startswith("\ufeff"))
+    while pos <= size:
+        nl = text.find("\n", pos)
+        if nl < 0:
+            nl = size
+        start, pos, lineno = pos, nl + 1, lineno + 1
+        try:   # a line that starts with "{" is decoded in place, not copied
+            obj, end = _decode(text, start) if text.startswith("{", start) else (None, nl)
+        except json.JSONDecodeError:
+            obj = None
+        if obj is None or end > nl or text[end:nl].strip(_JSON_SPACE):
+            line = text[start:nl]   # decoded alone, for json.loads's error texts
+            body = line.lstrip(_JSON_SPACE)
+            if not body or body.isspace():
+                continue
+            try:
+                obj, end = _decode(body)
+            except json.JSONDecodeError as exc:
+                raise RecordFileError(f"line {lineno}: not a valid record object "
+                                      f"({_json_error(line, exc)})")
+            if end != len(body) and body[end:].strip(_JSON_SPACE):
+                raise RecordFileError(f"line {lineno}: not a valid record object (Extra data)")
+            if type(obj) is not dict:
+                raise RecordFileError(f"line {lineno}: expected an object")
         get = obj.get
         rid = get("id")
         if type(rid) is not str:
@@ -396,6 +410,7 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
         flag = get("self_citation")
         if flag is not None and type(flag) is not bool:
             flag = _typed(obj, "self_citation", bool, None, rid, warnings)
-        records.append(ReferenceRecord(rid, title, tuple(authors), year, venue_name,
-                                       venue_type, domain, subdomain, count, flag))
+        records.append(ReferenceRecord(rid, title, tuple(authors), year,
+                                       share(venue_name, venue_name), share(venue_type, venue_type),
+                                       share(domain, domain), share(subdomain, subdomain), count, flag))
     return records

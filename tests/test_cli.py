@@ -137,8 +137,13 @@ def test_no_usable_entries_counts_the_errors_and_not_the_warnings(capsys, tmp_pa
     bib = tmp_path / "broken.bib"   # one duplicate-field warning, two errors
     bib.write_text("@article{a, title={T}, title={U}, year=}\n"
                    "@article{b, title={V} year={2000}}\n")
-    assert _run(capsys, "summarize", str(bib)) == \
-        (1, "", f"refsum: {bib}: no usable entries (2 errors)\n")
+    assert _run(capsys, "summarize", str(bib)) == (1, "", (
+        f"{bib}: warning (byte 23, entry 'a'): duplicate field 'title' in entry 'a' "
+        "overwrites the earlier value\n"
+        f"{bib}: error (byte 39, entry 'a'): expected a field value in entry 'a'\n"
+        f"{bib}: error (byte 63, entry 'b'): expected ',' or '}}' after field 'title' "
+        "in entry 'b'\n"
+        f"refsum: {bib}: no usable entries (2 errors)\n"))
 
 
 def test_config_error_exit_two(capsys, data_dir):

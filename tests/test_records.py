@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
+import tracemalloc
 from copy import deepcopy
 
 import pytest
@@ -594,14 +596,26 @@ def _record_objects(items):
     })
 
 
+_VENUE_VALUES = st.sampled_from(["ACL", "Jane Doe", "journal", "book", "", None])
+_VENUE_OBJECTS = st.fixed_dictionaries({}, optional={
+    "venue_name": _VENUE_VALUES, "venue_type": _VENUE_VALUES,
+    "domain": _VENUE_VALUES, "subdomain": _VENUE_VALUES,
+    "authors": st.sampled_from([["Jane Doe"], ["ACL"]])})
+
+
 @st.composite
 def _oracle_lines(draw, items):
-    kind = draw(st.sampled_from(["record"] * 6 + ["blank", "trailing", "cut", "other"]))
+    kind = draw(st.sampled_from(["record"] * 6 + ["blank", "trailing", "cut", "other",
+                                                  "continued", "venues"]))
     if kind == "blank":
         return draw(st.sampled_from(["", "  ", "\t\r", "\x0c", "\u2028", "\x85 ", "\ufeff"]))
     if kind == "other":
         return json.dumps(draw(_ANY_JSON))
+    if kind == "venues":   # a few venue values, repeated across lines and fields
+        return json.dumps(draw(_VENUE_OBJECTS))
     line = json.dumps(draw(_record_objects(items)), ensure_ascii=draw(st.booleans()))
+    if kind == "continued":   # the object runs on to the next line
+        return line.replace(": ", ":\n", 1) if ": " in line else "{\n}"
     if kind == "trailing":
         line += draw(st.sampled_from([" x", "}", " {}", ",1", "\x0c", "\u2028"]))
     elif kind == "cut":
@@ -626,9 +640,40 @@ def _outcome(loader, text):
 @given(_ORACLE_FILES)
 @example(['{"id": "a", "title": "x\u2028y"}\r', '\t{"authors": ["Jane Doe", "Jane Doe"]} '])
 @example(['{"year": true, "citation_count": true, "self_citation": 1}', '{"year": 2001.0}'])
+@example(['{"id": "b"}', '{"id":', '"a"}'])
 def test_loading_equals_the_plain_loader(lines):
     text = "\n".join(lines)
     assert _outcome(load_record_lines, text) == _outcome(brute_load_record_lines, text)
+
+
+def test_equal_categorical_values_of_one_load_are_one_object():
+    values = {"venue_name": "Proc. ACL", "venue_type": "journal",
+              "domain": "Natural language", "subdomain": "Parsing"}
+    lines = [json.dumps({"id": f"r{i}", **values}) for i in range(3)]
+    lines[2] = " " + lines[2]   # decoded alone, not in place
+    lines.append(json.dumps({"id": "x", "domain": "Proc. ACL"}))
+    records = load_record_lines("\n".join(lines))
+    for field in values:
+        first, *rest = (getattr(r, field) for r in records[:3])
+        assert all(value is first for value in rest), field
+    assert records[3].domain is records[0].venue_name
+
+
+def test_a_load_keeps_no_second_copy_of_the_text():
+    text = "".join(json.dumps({
+        "id": f"r{i}", "title": f"On summarising the reference list of paper number {i}",
+        "authors": [f"Jane Doe{i % 300}", f"John Roe{i % 70}", "Ann Lee"], "year": 2001,
+        "venue_name": f"Proceedings of Meeting {i % 40}", "venue_type": "proceedings",
+        "domain": "Computing", "subdomain": "Language", "citation_count": i}) + "\n"
+        for i in range(2000))
+    tracemalloc.start()
+    try:
+        records = load_record_lines(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 2000
+    assert peak - kept < sys.getsizeof(text) / 2
 
 
 def test_a_repeated_record_id_keeps_the_first_line_and_warns():

@@ -93,6 +93,10 @@ def _cases() -> dict[str, dict]:
         "input-missing": {"argv": ["summarize", "tests/data/missing.bib"]},
         "input-no-usable-entries": {"argv": ["summarize", f"{TMP}/empty.bib"],
                                     "files": {"empty.bib": "% nothing here\n"}},
+        "input-only-broken-entries": {
+            "argv": ["summarize", f"{TMP}/broken.bib"],
+            "files": {"broken.bib": "@article{a, title={T}, title={U}, year=}\n"
+                                    "@article{b, title={V} year={2000}}\n"}},
         "taxonomy-missing": {"argv": ["summarize", _BIB20, "--taxonomy",
                                       "tests/data/missing.tax"]},
         # Configuration errors (exit 2).
