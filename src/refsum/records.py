@@ -327,10 +327,11 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
     whose ``id`` an earlier line already holds is dropped with a warning.
 
     Each line is decoded as ``json.loads`` would, with the same error texts,
-    in one pass over the text: a line that starts with ``{`` in place, and
-    any other line alone. A field of the right JSON type costs one type test;
-    ``_typed`` runs only for one that fails it, and gives the warnings in
-    field order. Equal categorical values share one object, as author items do.
+    in one pass over the text that cuts one line at a time, so no second copy
+    of the whole text is held. A field of the right JSON type costs one type
+    test; ``_typed`` runs only for one that fails it, and gives the warnings
+    in field order. Equal categorical values share one object, as author
+    items do.
     """
     if warnings is None:
         warnings = []
@@ -343,25 +344,19 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
         nl = text.find("\n", pos)
         if nl < 0:
             nl = size
-        start, pos, lineno = pos, nl + 1, lineno + 1
-        try:   # a line that starts with "{" is decoded in place, not copied
-            obj, end = _decode(text, start) if text.startswith("{", start) else (None, nl)
-        except json.JSONDecodeError:
-            obj = None
-        if obj is None or end > nl or text[end:nl].strip(_JSON_SPACE):
-            line = text[start:nl]   # decoded alone, for json.loads's error texts
-            body = line.lstrip(_JSON_SPACE)
-            if not body or body.isspace():
-                continue
-            try:
-                obj, end = _decode(body)
-            except json.JSONDecodeError as exc:
-                raise RecordFileError(f"line {lineno}: not a valid record object "
-                                      f"({_json_error(line, exc)})")
-            if end != len(body) and body[end:].strip(_JSON_SPACE):
-                raise RecordFileError(f"line {lineno}: not a valid record object (Extra data)")
-            if type(obj) is not dict:
-                raise RecordFileError(f"line {lineno}: expected an object")
+        line, pos, lineno = text[pos:nl], nl + 1, lineno + 1
+        body = line.lstrip(_JSON_SPACE)
+        if not body or body.isspace():
+            continue
+        try:
+            obj, end = _decode(body)
+        except json.JSONDecodeError as exc:
+            raise RecordFileError(f"line {lineno}: not a valid record object "
+                                  f"({_json_error(line, exc)})")
+        if end != len(body) and body[end:].strip(_JSON_SPACE):
+            raise RecordFileError(f"line {lineno}: not a valid record object (Extra data)")
+        if type(obj) is not dict:
+            raise RecordFileError(f"line {lineno}: expected an object")
         get = obj.get
         rid = get("id")
         if type(rid) is not str:

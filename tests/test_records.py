@@ -650,7 +650,6 @@ def test_equal_categorical_values_of_one_load_are_one_object():
     values = {"venue_name": "Proc. ACL", "venue_type": "journal",
               "domain": "Natural language", "subdomain": "Parsing"}
     lines = [json.dumps({"id": f"r{i}", **values}) for i in range(3)]
-    lines[2] = " " + lines[2]   # decoded alone, not in place
     lines.append(json.dumps({"id": "x", "domain": "Proc. ACL"}))
     records = load_record_lines("\n".join(lines))
     for field in values:
