@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, NamedTuple, get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from .bibtex import raise_first_error, scan_bibtex
 from .config import (ALGORITHMS, LOOKUP_WORKERS, ComparisonBands, QuantifierThresholds,
@@ -39,6 +39,9 @@ from .templates import TemplatePack, default_pack, load_template_pack
 CACHE_DIR_ENV = "REFSUM_CACHE_DIR"
 EMIT_MODES = ("summary", "plan", "profile")
 PROVIDERS = ("off", "mock", "http")
+# A record file starts with `{` after one U+FEFF and any white space; matched in place,
+# so the input text is not copied.
+_RECORD_START = re.compile(r"\ufeff?\s*\{")
 
 
 class RunConfig(NamedTuple):
@@ -128,8 +131,7 @@ def _merge_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_records(run: RunConfig, warnings: list[str]):
     text = _read_text(run.input_path, "input", InputError)
-    stripped = text.removeprefix("\ufeff").lstrip()   # as load_record_lines reads it
-    if not run.input_path.endswith(".bib") and stripped.startswith("{"):
+    if not run.input_path.endswith(".bib") and _RECORD_START.match(text):
         try:
             return load_record_lines(text, warnings)
         except RecordFileError as exc:
@@ -219,8 +221,8 @@ def _load_pack(run: RunConfig) -> TemplatePack:
 
 
 def _emit(citing: CitingPaper, run: RunConfig, algo: str, emit: str,
-          warnings: list[str], pack: Callable[[], TemplatePack]) -> str:
-    """One algorithm's output; ``pack`` is called only to render summary text."""
+          warnings: list[str], pack: TemplatePack | None) -> str:
+    """One algorithm's output; ``pack`` renders summary text, and a dump needs none."""
     config = _summary_config(run, algo)
     profile = build_profile(citing, config, warnings)
     if emit == "profile":
@@ -228,17 +230,17 @@ def _emit(citing: CitingPaper, run: RunConfig, algo: str, emit: str,
     plan = build_plan(profile, config)
     if emit == "plan":
         return plan_to_text(plan)
-    return realize(plan, pack()).full_text
+    return realize(plan, pack).full_text
 
 
 # -- subcommands ----------------------------------------------------------------
 
 def _cmd_summarize(run: RunConfig) -> int:
     warnings: list[str] = []
+    pack = _load_pack(run) if run.emit == "summary" else None   # refused before the input
     citing = _assemble(run, warnings)
     try:
-        output = _emit(citing, run, run.algo, run.emit, warnings,
-                       partial(_load_pack, run))
+        output = _emit(citing, run, run.algo, run.emit, warnings, pack)
     except (PlanningError, RealizationError):
         _flush_warnings(warnings)
         raise
@@ -249,9 +251,9 @@ def _cmd_summarize(run: RunConfig) -> int:
 
 def _cmd_compare(run: RunConfig) -> int:
     warnings: list[str] = []
+    pack = _load_pack(run)   # refused before the input; read once, for both summaries
     citing = _assemble(run, warnings)
     sections, failures = [], []
-    pack = lru_cache(partial(_load_pack, run))   # read and parsed once, for both summaries
     for algo in ALGORITHMS:
         try:
             sections.append(f"[{algo}]\n{_emit(citing, run, algo, 'summary', warnings, pack)}")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import sys
+import tracemalloc
 
 import pytest
 
 from refsum import StaticCountProvider
-from refsum.cli import main
+from refsum.cli import _RECORD_START, main
 from refsum.templates import DEFAULT_PACK_TEXT
 
 FIXTURE_ARGS = ["--taxonomy", "tests/data/fixture.tax",
@@ -256,6 +258,30 @@ def test_a_record_file_with_a_byte_order_mark_is_read_as_records(capsys, tmp_pat
     assert "This paper cites 1 references." in out
 
 
+@pytest.mark.parametrize("text", [
+    "", "{}", " {}", "\ufeff{}", "\ufeff \n{}", "\ufeff\ufeff{}", " \ufeff{}",
+    "\x1c{}", "\x1d{}", "\x1e{}", "\x1f{}", "\u2028{}", "\u3000{}", "\ufeff\u3000\x1f{}",
+    "\ufeff", "@misc{k}", "\ufeff@misc{k}", "\u200b{}",
+])
+def test_a_record_file_is_told_by_its_first_character_after_a_bom_and_white_space(text):
+    assert bool(_RECORD_START.match(text)) == text.removeprefix("\ufeff").lstrip().startswith("{")
+
+
+def test_telling_a_record_file_makes_no_copy_of_the_text():
+    text = "\ufeff" + "".join(json.dumps({
+        "id": f"r{i}", "title": f"On summarising reference list number {i}",
+        "venue_type": "journal", "year": 2001, "citation_count": i}) + "\n"
+        for i in range(2000))
+    tracemalloc.start()
+    try:
+        found = _RECORD_START.match(text)
+        _kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found
+    assert peak < sys.getsizeof(text) / 4
+
+
 def test_config_file_with_flag_override(capsys, data_dir, tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
@@ -341,6 +367,16 @@ def test_missing_template_pack_exit_two(capsys, data_dir, tmp_path, command, tex
     assert code == 2 and out == ""
     assert err.startswith("refsum: configuration error: " + message.format(pack))
     assert err.count("configuration error") == 1
+
+
+@pytest.mark.parametrize("command", ["summarize", "compare"])
+def test_a_bad_template_pack_is_refused_before_the_input_is_read(capsys, tmp_path, command):
+    pack = tmp_path / "absent.pack"
+    code, out, err = _run(capsys, command, str(tmp_path / "absent.bib"),
+                          "--templates", str(pack))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"refsum: configuration error: cannot read template pack {pack}: ")
+    assert err.count("\n") == 1
 
 
 def _count_pack_loads(monkeypatch) -> list[str]:
@@ -497,6 +533,13 @@ def test_no_counts_flag_hides_numbers(capsys, data_dir):
     assert code == 0
     assert "citations)" not in out
     assert "The 7 authors with the highest citation counts" in out
+
+
+def test_unit_and_noun_flags_reach_the_text(capsys, data_dir):
+    code, out, _ = _run(capsys, "summarize", str(data_dir / "fixture20.bib"), *FIXTURE_ARGS,
+                        "--algo", "prodset", "--unit", "£", "--noun", "papers")
+    assert code == 0
+    assert "The citation count of the 20 papers ranges from £7 to £310" in out
 
 
 @pytest.mark.parametrize("flags, config, shown", [

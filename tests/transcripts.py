@@ -6,10 +6,11 @@ repository root to rewrite them all from the cases listed below:
     PYTHONPATH=src python tests/transcripts.py
 
 ``tests/test_transcripts.py`` runs every committed case through ``main`` in
-process and compares its output byte for byte. A case may list input files;
-they are written under a fresh temporary directory, ``{tmp}`` in the argv
-names that directory, and in the expected output the directory is ``{tmp}``
-again. Output is stored line by line, each line keeping its ``\\n``.
+process and compares its output byte for byte; ``tests/console_transcripts.py``
+does the same through the installed ``refsum`` script. A case may list input
+files; they are written under a fresh temporary directory, ``{tmp}`` in the
+argv names that directory, and in the expected output the directory is
+``{tmp}`` again. Output is stored line by line, each line keeping its ``\\n``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -89,8 +91,12 @@ def _cases() -> dict[str, dict]:
                       + f"\r\n{_BOOK}\r\n"}},
         "records-malformed-line": {"argv": ["summarize", f"{TMP}/bad.jsonl"],
                                    "files": {"bad.jsonl": f"{_JOURNAL}\n{{\"id\": \n"}},
+        "records-object-split-across-lines": {
+            "argv": ["compare", f"{TMP}/split.jsonl"],
+            "files": {"split.jsonl": '{"id": "a", "venue_type": "journal"}\n{"id":\n"b"}\n'}},
         # Input errors (exit 1).
         "input-missing": {"argv": ["summarize", "tests/data/missing.bib"]},
+        "input-not-utf8": {"argv": ["summarize", "tests/data/not-utf8.bib"]},
         "input-no-usable-entries": {"argv": ["summarize", f"{TMP}/empty.bib"],
                                     "files": {"empty.bib": "% nothing here\n"}},
         "input-only-broken-entries": {
@@ -138,6 +144,8 @@ def _cases() -> dict[str, dict]:
                               "files": {"bad.tax": "one column only\n"}},
         "template-pack-missing": {"argv": ["summarize", *_FULL20, "--templates",
                                            "tests/data/missing.pack"]},
+        "template-pack-and-input-missing": {"argv": ["summarize", "tests/data/missing.bib",
+                                                     "--templates", "tests/data/missing.pack"]},
         "template-pack-malformed": {"argv": ["compare", *_FULL20, "--templates",
                                              f"{TMP}/bad.pack"],
                                     "files": {"bad.pack": "stray line\n[intro.lead]\nx\n"}},
@@ -170,36 +178,57 @@ def _lines(text: str) -> list[str]:
     return [part + "\n" for part in parts[:-1]] + ([parts[-1]] if parts[-1] else [])
 
 
-def run_case(argv: list[str], files: dict[str, str] | None = None) -> dict:
-    """Run ``refsum`` in process from the repository root; exit code and output."""
+def _run_main(args: list[str]) -> tuple[int, str, str]:
+    """``main`` in process, from the repository root; exit code, stdout, stderr."""
     from refsum.cli import main
 
     saved_cwd = os.getcwd()
     saved_env = {key: os.environ.get(key) for key in ("REFSUM_CACHE_DIR", "COLUMNS")}
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        os.chdir(ROOT)
+        os.environ.pop("REFSUM_CACHE_DIR", None)
+        os.environ["COLUMNS"] = "80"   # argparse wraps help and usage to this width
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:   # argparse: --help and usage errors
+                code = exc.code
+    finally:
+        os.chdir(saved_cwd)
+        for key, value in saved_env.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_command(command: str, args: list[str]) -> tuple[int, str, str]:
+    """``command`` as a child process, from the repository root, in the same setting."""
+    env = {**os.environ, "COLUMNS": "80", "PYTHONIOENCODING": "utf-8"}
+    env.pop("REFSUM_CACHE_DIR", None)
+    done = subprocess.run([command, *args], cwd=ROOT, env=env, capture_output=True,
+                          timeout=60)
+    return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
+
+
+def run_case(argv: list[str], files: dict[str, str] | None = None,
+             command: str | None = None) -> dict:
+    """Run ``refsum`` on one case; exit code and output.
+
+    ``main`` runs in process unless ``command`` names a program to run instead,
+    such as the installed console script.
+    """
     with tempfile.TemporaryDirectory(prefix="refsum-transcript-") as tmp:
         for name, text in (files or {}).items():
             path = Path(tmp, name)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(text.encode("utf-8"))
-        out, err = io.StringIO(), io.StringIO()
-        try:
-            os.chdir(ROOT)
-            os.environ.pop("REFSUM_CACHE_DIR", None)
-            os.environ["COLUMNS"] = "80"   # argparse wraps help and usage to this width
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main([arg.replace(TMP, tmp) for arg in argv])
-                except SystemExit as exc:   # argparse: --help and usage errors
-                    code = exc.code
-        finally:
-            os.chdir(saved_cwd)
-            for key, value in saved_env.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
-    return {"exit": code, "stdout": _lines(out.getvalue().replace(tmp, TMP)),
-            "stderr": _lines(err.getvalue().replace(tmp, TMP))}
+        args = [arg.replace(TMP, tmp) for arg in argv]
+        code, out, err = _run_main(args) if command is None else _run_command(command, args)
+    return {"exit": code, "stdout": _lines(out.replace(tmp, TMP)),
+            "stderr": _lines(err.replace(tmp, TMP))}
 
 
 def main() -> int:
