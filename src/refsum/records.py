@@ -24,27 +24,17 @@ VENUE_TYPES = ("proceedings", "journal", "book", "other")
 YEAR_MIN = 1000
 YEAR_MAX = 3000
 
-# Entry kinds that already pin down the venue type; anything else falls
-# through to the taxonomy and finally to "other".
-_KIND_VENUE_TYPE = {
-    "article": "journal",
-    "inproceedings": "proceedings",
-    "conference": "proceedings",
-    "proceedings": "proceedings",
-    "book": "book",
-    "inbook": "book",
-    "incollection": "book",
-}
-
-# Preferred venue field per entry kind, with fallbacks.
-_VENUE_FIELDS = {
-    "article": ("journal", "booktitle", "publisher"),
-    "inproceedings": ("booktitle", "journal", "publisher"),
-    "conference": ("booktitle", "journal", "publisher"),
-    "proceedings": ("booktitle", "publisher", "journal"),
-    "book": ("publisher", "booktitle", "journal"),
-    "inbook": ("publisher", "booktitle", "journal"),
-    "incollection": ("booktitle", "publisher", "journal"),
+# Entry kinds that pin down the venue type, each with its preferred venue
+# field and fallbacks; any other kind takes its type from the taxonomy, or
+# "other", and the default fields.
+_KINDS = {
+    "article": ("journal", ("journal", "booktitle", "publisher")),
+    "inproceedings": ("proceedings", ("booktitle", "journal", "publisher")),
+    "conference": ("proceedings", ("booktitle", "journal", "publisher")),
+    "proceedings": ("proceedings", ("booktitle", "publisher", "journal")),
+    "book": ("book", ("publisher", "booktitle", "journal")),
+    "inbook": ("book", ("publisher", "booktitle", "journal")),
+    "incollection": ("book", ("booktitle", "publisher", "journal")),
 }
 _DEFAULT_VENUE_FIELDS = ("journal", "booktitle", "publisher", "howpublished")
 
@@ -239,14 +229,15 @@ def to_reference_record(entry, taxonomy: VenueTaxonomy | None = None,
     if year is None:
         warnings.append(f"{entry.cite_key}: no usable year")
 
+    kind_type, venue_fields = _KINDS.get(kind, (None, _DEFAULT_VENUE_FIELDS))
     venue_name, taxo_type, domain, subdomain = "", None, None, None
-    for venue_field in _VENUE_FIELDS.get(kind, _DEFAULT_VENUE_FIELDS):
+    for venue_field in venue_fields:
         if fields.get(venue_field):
             venue_name, taxo_type, domain, subdomain = _venue(fields[venue_field], taxonomy)
             break
     if not venue_name:
         warnings.append(f"{entry.cite_key}: no venue field")
-    venue_type = _KIND_VENUE_TYPE.get(kind) or taxo_type or "other"
+    venue_type = kind_type or taxo_type or "other"
 
     return ReferenceRecord(entry.cite_key, title, authors, year, venue_name, venue_type,
                            domain, subdomain)
@@ -323,8 +314,9 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
 
     Lines end at ``\n`` only; a trailing ``\r`` is JSON whitespace. One
     byte-order mark (U+FEFF) at the start of the text is dropped; one that
-    starts a later line is refused as ``json.loads`` refuses it. A line
-    whose ``id`` an earlier line already holds is dropped with a warning.
+    starts a later line is refused as ``json.loads`` refuses it. A line whose
+    ``id`` an earlier line gives is dropped with a warning. A line without one
+    is ``r<line>``, or if some ``id`` is that, the first free ``r<line>-2``, ...
 
     Each line is decoded as ``json.loads`` would, with the same error texts,
     in one pass over the text that cuts one line at a time, so no second copy
@@ -336,7 +328,8 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
     if warnings is None:
         warnings = []
     records = []
-    first_line: dict[str, int] = {}
+    first_line: dict[str, int] = {}   # each id a line gives
+    generated: list[tuple[int, int, int, str]] = []   # record, its warnings, r<line>
     memo: dict[str | tuple[str, str], tuple[PersonName, ...]] = {}
     share = {}.setdefault   # venue names, venue types, domains and subdomains
     size, lineno, pos = len(text), 0, int(text.startswith("\ufeff"))
@@ -359,13 +352,12 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
             raise RecordFileError(f"line {lineno}: expected an object")
         get = obj.get
         rid = get("id")
-        if type(rid) is not str:
-            rid = _typed(obj, "id", str, None, f"r{lineno}", warnings)
-        rid = rid or f"r{lineno}"
-        if rid in first_line:
-            warnings.append(f"{rid}: duplicate id (first on line {first_line[rid]}), dropped")
+        if unnamed := type(rid) is not str or not rid:
+            start = len(warnings)
+            rid = _typed(obj, "id", str, None, f"r{lineno}", warnings) or f"r{lineno}"
+        elif (first := first_line.setdefault(rid, lineno)) != lineno:
+            warnings.append(f"{rid}: duplicate id (first on line {first}), dropped")
             continue
-        first_line[rid] = lineno
         items = get("authors", ())
         if type(items) is not list:
             items = _typed(obj, "authors", list, (), rid, warnings)
@@ -408,4 +400,12 @@ def load_record_lines(text: str, warnings: list[str] | None = None) -> list[Refe
         records.append(ReferenceRecord(rid, title, tuple(authors), year,
                                        share(venue_name, venue_name), share(venue_type, venue_type),
                                        share(domain, domain), share(subdomain, subdomain), count, flag))
+        if unnamed:
+            generated.append((len(records) - 1, start, len(warnings), rid))
+    for index, start, end, rid in generated:   # an explicit id wins over r<line>
+        if rid in first_line:   # of len(first_line) + 1 names, one is free
+            new = next(f"{rid}-{k}" for k in range(2, len(first_line) + 3)
+                       if f"{rid}-{k}" not in first_line)
+            records[index] = records[index]._replace(id=new)
+            warnings[start:end] = [new + w[len(rid):] for w in warnings[start:end]]
     return records

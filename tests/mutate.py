@@ -65,6 +65,9 @@ EQUIVALENT = {
         "memo bound: it sets how many distinct names stay cached, not what a parse returns",
     "records: _venue: 1024 -> 1025":
         "memo bound: it sets how many distinct venues stay cached, not what a lookup returns",
+    "records: load_record_lines: 3 -> 4":
+        "search bound: len(first_line) + 1 candidate ids already hold a free one, and the "
+        "first free one is taken either way",
     "records: load_record_lines: type(venue_type) is not str -> type(venue_type) is str":
         "speed only: a valid venue type then takes the general path, which returns it as is",
     "records: load_record_lines: domain is not None and type(domain) is not str -> "

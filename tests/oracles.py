@@ -219,7 +219,8 @@ def serialize_entries(entries):
 
 
 # The record-file loader the plain way: `json.loads` on each line, `_typed`
-# for every field, keyword construction. Lines end at `\n` only.
+# for every field, keyword construction. Lines end at `\n` only. A first
+# pass reads every line, so each line without an id knows all ids up front.
 def _brute_names_from_json(value, rid, warnings, memo):
     if isinstance(value, str):
         names = memo.get(value)
@@ -249,9 +250,7 @@ def _brute_typed(obj, key, kind, default, rid, warnings):
 
 
 def brute_load_record_lines(text, warnings):
-    records = []
-    first_line = {}
-    memo = {}
+    objects = []
     for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         if not line.strip():
             continue
@@ -261,11 +260,22 @@ def brute_load_record_lines(text, warnings):
             raise RecordFileError(f"line {lineno}: not a valid record object ({exc.msg})")
         if not isinstance(obj, dict):
             raise RecordFileError(f"line {lineno}: expected an object")
-        rid = _brute_typed(obj, "id", str, None, f"r{lineno}", warnings) or f"r{lineno}"
-        if rid in first_line:
-            warnings.append(f"{rid}: duplicate id (first on line {first_line[rid]}), dropped")
-            continue
-        first_line[rid] = lineno
+        objects.append((lineno, obj))
+    ids = {obj["id"] for _, obj in objects if isinstance(obj.get("id"), str) and obj["id"]}
+    records = []
+    first_line = {}
+    memo = {}
+    for lineno, obj in objects:
+        if isinstance(obj.get("id"), str) and obj["id"]:
+            rid = obj["id"]
+            if rid in first_line:
+                warnings.append(f"{rid}: duplicate id (first on line {first_line[rid]}), dropped")
+                continue
+            first_line[rid] = lineno
+        else:
+            candidates = [f"r{lineno}"] + [f"r{lineno}-{k}" for k in range(2, len(ids) + 3)]
+            rid = [c for c in candidates if c not in ids][0]
+            _brute_typed(obj, "id", str, None, rid, warnings)
         names = _brute_typed(obj, "authors", list, (), rid, warnings)
         authors = tuple(n for item in names
                         for n in _brute_names_from_json(item, rid, warnings, memo))

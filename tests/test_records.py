@@ -606,7 +606,9 @@ _VENUE_OBJECTS = st.fixed_dictionaries({}, optional={
 @st.composite
 def _oracle_lines(draw, items):
     kind = draw(st.sampled_from(["record"] * 6 + ["blank", "trailing", "cut", "other",
-                                                  "continued", "venues"]))
+                                                  "continued", "venues"] + ["generated"] * 3))
+    if kind == "generated":   # an id a line without one may be given
+        return json.dumps({"id": draw(st.sampled_from(["r1", "r2", "r3", "r2-2"])), "year": 99})
     if kind == "blank":
         return draw(st.sampled_from(["", "  ", "\t\r", "\x0c", "\u2028", "\x85 ", "\ufeff"]))
     if kind == "other":
@@ -641,6 +643,8 @@ def _outcome(loader, text):
 @example(['{"id": "a", "title": "x\u2028y"}\r', '\t{"authors": ["Jane Doe", "Jane Doe"]} '])
 @example(['{"year": true, "citation_count": true, "self_citation": 1}', '{"year": 2001.0}'])
 @example(['{"id": "b"}', '{"id":', '"a"}'])
+@example(['{"year": 99}', '{"id": "r1"}', '{"id": 5}', '{"id": "r3"}', '{"id": "r1-2"}'])
+@example(['{"id": "r2"}', '{"title": "x"}'])
 def test_loading_equals_the_plain_loader(lines):
     text = "\n".join(lines)
     assert _outcome(load_record_lines, text) == _outcome(brute_load_record_lines, text)
@@ -679,10 +683,26 @@ def test_a_repeated_record_id_keeps_the_first_line_and_warns():
     rows = [{"id": "a", "title": "A", "venue_type": "journal", "year": 2001},
             {"id": "a", "title": "A", "venue_type": "journal", "year": 2001},
             {"id": "b", "title": "B", "venue_type": "book", "year": 2002},
-            {"title": "C", "year": 99}, {"id": "r4"}]
+            {"title": "C", "year": 99}, {"id": "r4"}, {"id": "b"}]
     warnings: list[str] = []
     records = load_record_lines("\n".join(json.dumps(r) for r in rows), warnings)
-    assert [(r.id, r.title) for r in records] == [("a", "A"), ("b", "B"), ("r4", "C")]
+    assert [(r.id, r.title) for r in records] == [("a", "A"), ("b", "B"), ("r4-2", "C"),
+                                                  ("r4", "")]
     assert warnings == ["a: duplicate id (first on line 1), dropped",
-                        "r4: year 99 out of range, dropped",
-                        "r4: duplicate id (first on line 4), dropped"]
+                        "r4-2: year 99 out of range, dropped",
+                        "b: duplicate id (first on line 3), dropped"]
+
+
+def test_a_line_without_an_id_yields_r_line_to_a_later_explicit_id():
+    warnings: list[str] = []
+    records = load_record_lines('{"title": "T", "year": 5}\n{"id": "r1", "title": "U"}\n'
+                                '{"id": "r1-2"}\n', warnings)
+    assert [(r.id, r.title) for r in records] == [("r1-3", "T"), ("r1", "U"), ("r1-2", "")]
+    assert warnings == ["r1-3: year 5 out of range, dropped"]
+
+
+def test_a_line_without_an_id_yields_r_line_to_an_earlier_explicit_id():
+    warnings: list[str] = []
+    records = load_record_lines('{"id": "r2"}\n{"id": 7, "title": "U"}\n', warnings)
+    assert [(r.id, r.title) for r in records] == [("r2", ""), ("r2-2", "U")]
+    assert warnings == ["r2-2: id 7 is not a str, dropped"]

@@ -34,7 +34,9 @@ _TAX = ["--taxonomy", "tests/data/fixture.tax"]
 _AUTHORS = ["--paper-authors", "Alice Novak and Robert Chen"]
 _MOCK20 = ["--provider", "mock", "--counts", "tests/data/fixture20_counts.json"]
 _MOCK43 = ["--provider", "mock", "--counts", "tests/data/fixture43_counts.json"]
+_MOCK_COUNTS = ["--provider", "mock", "--counts", f"{TMP}/counts.json"]
 _FULL20 = [_BIB20, *_TAX, *_MOCK20, *_AUTHORS]
+_NOT_UTF8 = "tests/data/not-utf8.bib"   # a case's own files are written as UTF-8
 
 
 def _record(**fields) -> str:
@@ -52,6 +54,13 @@ def _config(**keys) -> dict[str, str]:
 
 def _cases() -> dict[str, dict]:
     """name -> {"argv": [...], "files": {relative path: text}}; files is optional."""
+    from refsum.templates import DEFAULT_PACK_TEXT
+
+    quiet = {"quiet.pack": DEFAULT_PACK_TEXT.replace("show_counts = yes", "show_counts = no")}
+    quiet_but_config = {**quiet, **_config(show_counts=True)}
+    inputs = _config(taxonomy="tests/data/fixture.tax", provider="mock",
+                     counts="tests/data/fixture20_counts.json",
+                     paper_authors="Alice Novak and Robert Chen", k=3)
     cache_v1 = {"c/citations.tsv":
                 (ROOT / "tests/data/cache_v1/citations.tsv").read_text(encoding="utf-8")}
     cases: dict[str, dict] = {
@@ -68,6 +77,26 @@ def _cases() -> dict[str, dict]:
                                 "files": _config(quantifier_most=0.6, quantifier_large=0.25,
                                                  compare_same=0.1, compare_slight=0.3,
                                                  author_score_mode="max", k=3)},
+        "compare-ignores-config-algo-emit": {
+            "argv": ["compare", *_FULL20, "--config", f"{TMP}/run.json"],
+            "files": _config(algo="prodset", emit="profile")},
+        # A config file that names the inputs, alone and under a flag.
+        "config-file-inputs": {"argv": ["summarize", _BIB20, "--config", f"{TMP}/run.json"],
+                               "files": inputs},
+        "config-file-inputs-k2": {"argv": ["summarize", _BIB20, "--config", f"{TMP}/run.json",
+                                           "--k", "2"], "files": inputs},
+        # show_counts: the flag, then the config file, then the pack.
+        "show-counts-pack": {"argv": ["summarize", *_FULL20, "--templates", f"{TMP}/quiet.pack"],
+                             "files": quiet},
+        "show-counts-flag": {"argv": ["summarize", *_FULL20, "--templates",
+                                      f"{TMP}/quiet.pack", "--no-counts"], "files": quiet},
+        "show-counts-config": {"argv": ["summarize", *_FULL20, "--templates", f"{TMP}/quiet.pack",
+                                        "--config", f"{TMP}/run.json"],
+                               "files": quiet_but_config},
+        "show-counts-flag-over-config": {
+            "argv": ["summarize", *_FULL20, "--templates", f"{TMP}/quiet.pack", "--no-counts",
+                     "--config", f"{TMP}/run.json"],
+            "files": quiet_but_config},
         "enrich": {"argv": ["enrich", _BIB20, *_MOCK20, "--cache-dir", f"{TMP}/c"]},
         "enrich-warm-cache": {"argv": ["enrich", _BIB20, *_MOCK20, "--cache-dir", f"{TMP}/c"],
                               "files": cache_v1},
@@ -79,6 +108,14 @@ def _cases() -> dict[str, dict]:
         "malformed-prodset-planning-error": {"argv": ["summarize", "tests/data/malformed.bib",
                                                       "--algo", "prodset"]},
         # Record files.
+        "records-self-citations": {
+            "argv": ["summarize", f"{TMP}/refs.jsonl", "--provider", "off"],
+            "files": {"refs.jsonl": _record(id="a", title="A", venue_type="journal", year=2001,
+                                            citation_count=4, authors=["Ann Ash"],
+                                            self_citation=False) + "\n"
+                      + _record(id="b", title="B", venue_type="proceedings", year=2005,
+                                citation_count=9, authors=["Ben Birch"], self_citation=True)
+                      + "\n"}},
         "records-bom": {"argv": ["compare", f"{TMP}/bom.jsonl"],
                         "files": {"bom.jsonl": f"\ufeff{_JOURNAL}\n{_BOOK}\n"}},
         "records-duplicate-id": {
@@ -91,12 +128,24 @@ def _cases() -> dict[str, dict]:
                       + f"\r\n{_BOOK}\r\n"}},
         "records-malformed-line": {"argv": ["summarize", f"{TMP}/bad.jsonl"],
                                    "files": {"bad.jsonl": f"{_JOURNAL}\n{{\"id\": \n"}},
+        "records-line-not-an-object": {"argv": ["summarize", f"{TMP}/bad.jsonl"],
+                                       "files": {"bad.jsonl": f'{_JOURNAL}\n["a", "A"]\n'}},
+        # A line without an id is r<line> unless some line's id is that.
+        "records-generated-id-taken": {
+            "argv": ["summarize", f"{TMP}/ids.jsonl"],
+            "files": {"ids.jsonl": "\n".join([
+                _record(title="T", venue_type="journal", year=99),
+                _record(id="r1", title="U", venue_type="book", year=2003),
+                _record(id="r4", title="V", venue_type="journal", year=2004),
+                _record(id=7, title="W", venue_type="journal", year=2005)]) + "\n"}},
         "records-object-split-across-lines": {
             "argv": ["compare", f"{TMP}/split.jsonl"],
             "files": {"split.jsonl": '{"id": "a", "venue_type": "journal"}\n{"id":\n"b"}\n'}},
         # Input errors (exit 1).
         "input-missing": {"argv": ["summarize", "tests/data/missing.bib"]},
-        "input-not-utf8": {"argv": ["summarize", "tests/data/not-utf8.bib"]},
+        "input-not-utf8": {"argv": ["summarize", _NOT_UTF8]},
+        "input-plain-text": {"argv": ["summarize", f"{TMP}/notes.txt"],
+                             "files": {"notes.txt": "just some words\n"}},
         "input-no-usable-entries": {"argv": ["summarize", f"{TMP}/empty.bib"],
                                     "files": {"empty.bib": "% nothing here\n"}},
         "input-only-broken-entries": {
@@ -105,8 +154,10 @@ def _cases() -> dict[str, dict]:
                                     "@article{b, title={V} year={2000}}\n"}},
         "taxonomy-missing": {"argv": ["summarize", _BIB20, "--taxonomy",
                                       "tests/data/missing.tax"]},
+        "taxonomy-not-utf8": {"argv": ["summarize", _BIB20, "--taxonomy", _NOT_UTF8]},
         # Configuration errors (exit 2).
         "config-missing": {"argv": ["summarize", _BIB20, "--config", "tests/data/missing.json"]},
+        "config-not-utf8": {"argv": ["summarize", _BIB20, "--config", _NOT_UTF8]},
         "config-not-json": {"argv": ["summarize", _BIB20, "--config", f"{TMP}/run.json"],
                             "files": {"run.json": "{not json"}},
         "config-not-object": {"argv": ["summarize", _BIB20, "--config", f"{TMP}/run.json"],
@@ -135,20 +186,35 @@ def _cases() -> dict[str, dict]:
         "mock-without-counts": {"argv": ["summarize", _BIB20, "--provider", "mock"]},
         "counts-missing": {"argv": ["summarize", _BIB20, "--provider", "mock", "--counts",
                                     "tests/data/missing.json"]},
-        "counts-not-a-map": {"argv": ["summarize", _BIB20, "--provider", "mock", "--counts",
-                                      f"{TMP}/counts.json"],
+        "counts-not-a-map": {"argv": ["summarize", _BIB20, *_MOCK_COUNTS],
                              "files": {"counts.json": '{"A title": "many"}'}},
+        "counts-not-json": {"argv": ["summarize", _BIB20, *_MOCK_COUNTS],
+                            "files": {"counts.json": "{not json"}},
+        "counts-not-object": {"argv": ["summarize", _BIB20, *_MOCK_COUNTS],
+                              "files": {"counts.json": "[]"}},
+        "counts-negative": {"argv": ["summarize", _BIB20, *_MOCK_COUNTS],
+                            "files": {"counts.json": '{"Alpha": -5}'}},
+        "counts-not-utf8": {"argv": ["summarize", _BIB20, "--provider", "mock", "--counts",
+                                     _NOT_UTF8]},
         "cache-dir-is-a-file": {"argv": ["summarize", _BIB20, "--cache-dir", f"{TMP}/plain"],
                                 "files": {"plain": "x"}},
         "taxonomy-bad-line": {"argv": ["summarize", _BIB20, "--taxonomy", f"{TMP}/bad.tax"],
                               "files": {"bad.tax": "one column only\n"}},
         "template-pack-missing": {"argv": ["summarize", *_FULL20, "--templates",
                                            "tests/data/missing.pack"]},
+        "template-pack-missing-compare": {"argv": ["compare", _BIB20, "--templates",
+                                                   "tests/data/missing.pack"]},
         "template-pack-and-input-missing": {"argv": ["summarize", "tests/data/missing.bib",
                                                      "--templates", "tests/data/missing.pack"]},
+        "template-pack-and-input-missing-compare": {
+            "argv": ["compare", "tests/data/missing.bib", "--templates", "tests/data/missing.pack"]},
         "template-pack-malformed": {"argv": ["compare", *_FULL20, "--templates",
                                              f"{TMP}/bad.pack"],
                                     "files": {"bad.pack": "stray line\n[intro.lead]\nx\n"}},
+        "template-pack-malformed-summarize": {
+            "argv": ["summarize", _BIB20, "--templates", f"{TMP}/bad.pack"],
+            "files": {"bad.pack": "junk\n[intro.lead]\nx\n"}},
+        "template-pack-not-utf8": {"argv": ["summarize", _BIB20, "--templates", _NOT_UTF8]},
         "enrich-without-provider": {"argv": ["enrich", _BIB20, "--cache-dir", f"{TMP}/c"]},
         "enrich-without-cache-dir": {"argv": ["enrich", _BIB20, *_MOCK20]},
         "usage-no-subcommand": {"argv": []},
