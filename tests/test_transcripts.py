@@ -12,10 +12,22 @@ import pytest
 from transcripts import CASE_DIR, ROOT, _cases, run_case
 
 CASES = sorted(CASE_DIR.glob("*.json"))
+LISTED = _cases()
 
 
 def test_the_committed_cases_are_the_listed_cases():
-    assert {path.stem for path in CASES} == set(_cases())
+    assert {path.stem for path in CASES} == set(LISTED)
+
+
+@pytest.mark.parametrize("path", CASES, ids=[path.stem for path in CASES])
+def test_a_committed_case_is_written_from_its_listing(path):
+    # A listing edited but not regenerated, or a case file edited by hand,
+    # differs from what tests/transcripts.py would write for it.
+    committed = path.read_text(encoding="utf-8")
+    case = json.loads(committed)
+    output = {key: case[key] for key in ("exit", "stdout", "stderr")}
+    written = {**LISTED.get(path.stem, {}), **output}
+    assert committed == json.dumps(written, ensure_ascii=False, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("path", CASES, ids=[path.stem for path in CASES])
