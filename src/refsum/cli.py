@@ -7,8 +7,10 @@ Subcommands:
 * ``enrich``    -- warm the citation-count cache, nothing else
 
 Exit codes: 0 success, 1 input/parse error, 2 configuration error,
-3 planning/realisation error. Summaries go to stdout; warnings and
-enrichment reports go to stderr.
+3 planning/realisation error. Each command returns its exit code and its
+stdout text, and appends its warnings and enrichment report to one list;
+``main`` alone prints: that list to stderr, in order, then the line of the
+error that ended the run (if any), then the stdout text.
 """
 
 from __future__ import annotations
@@ -142,13 +144,11 @@ def _load_records(run: RunConfig, warnings: list[str]):
     except ConfigError as exc:
         raise ConfigError(f"{run.taxonomy}: {exc}")
     entries, issues = scan_bibtex(text)
-    errors = [i for i in issues if i.severity == "error"]
-    for issue in issues:
-        warnings.append(f"{run.input_path}: {issue}")
     if run.strict:
         raise_first_error(issues)
+    errors = [i for i in issues if i.severity == "error"]
+    warnings.extend(f"{run.input_path}: {issue}" for issue in issues)
     if not entries:
-        _flush_warnings(warnings)   # the issues that explain the error
         raise InputError(f"{run.input_path}: no usable entries"
                          + (f" ({len(errors)} errors)" if errors else ""))
     return [to_reference_record(e, taxonomy, warnings) for e in entries]
@@ -160,10 +160,9 @@ def _build_provider(run: RunConfig):
     if run.provider == "mock":
         if not run.counts:
             raise ConfigError("--provider mock needs --counts FILE")
+        text = _read_text(run.counts, "counts file", ConfigError)
         try:
-            return StaticCountProvider.from_file(run.counts)
-        except OSError as exc:
-            raise ConfigError(f"cannot read counts file {run.counts}: {exc}")
+            return StaticCountProvider(json.loads(text))
         except ValueError as exc:
             raise ConfigError(f"counts file {run.counts} is not a title->count map: {exc}")
     kwargs = {"base_url": run.endpoint} if run.endpoint else {}
@@ -235,51 +234,30 @@ def _emit(citing: CitingPaper, run: RunConfig, algo: str, emit: str,
 
 # -- subcommands ----------------------------------------------------------------
 
-def _cmd_summarize(run: RunConfig) -> int:
-    warnings: list[str] = []
+def _cmd_summarize(run: RunConfig, warnings: list[str]) -> tuple[int, str]:
     pack = _load_pack(run) if run.emit == "summary" else None   # refused before the input
-    citing = _assemble(run, warnings)
-    try:
-        output = _emit(citing, run, run.algo, run.emit, warnings, pack)
-    except (PlanningError, RealizationError):
-        _flush_warnings(warnings)
-        raise
-    _flush_warnings(warnings)
-    print(output)
-    return 0
+    return 0, _emit(_assemble(run, warnings), run, run.algo, run.emit, warnings, pack)
 
 
-def _cmd_compare(run: RunConfig) -> int:
-    warnings: list[str] = []
+def _cmd_compare(run: RunConfig, warnings: list[str]) -> tuple[int, str | None]:
     pack = _load_pack(run)   # refused before the input; read once, for both summaries
     citing = _assemble(run, warnings)
-    sections, failures = [], []
+    sections = []
     for algo in ALGORITHMS:
         try:
             sections.append(f"[{algo}]\n{_emit(citing, run, algo, 'summary', warnings, pack)}")
         except (PlanningError, RealizationError) as exc:
-            failures.append(f"refsum: {algo}: {exc}")
-    _flush_warnings(warnings)
-    if sections:
-        print("\n\n".join(sections))
-    _flush_warnings(failures)
-    return 3 if failures else 0
+            warnings.append(f"refsum: {algo}: {exc}")
+    return 0 if len(sections) == len(ALGORITHMS) else 3, "\n\n".join(sections) or None
 
 
-def _cmd_enrich(run: RunConfig) -> int:
+def _cmd_enrich(run: RunConfig, warnings: list[str]) -> tuple[int, None]:
     if run.provider == "off":
         raise ConfigError("enrich needs --provider mock or http")
     if not run.cache_dir:
         raise ConfigError("enrich needs --cache-dir (or " + CACHE_DIR_ENV + ")")
-    warnings: list[str] = []
     _enrich(_load_records(run, warnings), run, warnings)
-    _flush_warnings(warnings)
-    return 0
-
-
-def _flush_warnings(warnings: list[str]) -> None:
-    for line in warnings:
-        print(line, file=sys.stderr)
+    return 0, None
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -342,14 +320,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    warnings: list[str] = []
     try:
-        return args.func(_merge_run_config(args))
-    except ConfigError as exc:
-        print(f"refsum: configuration error: {exc}", file=sys.stderr)
-        return 2
+        code, output = args.func(_merge_run_config(args), warnings)
     except RefsumError as exc:
-        print(f"refsum: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, (PlanningError, RealizationError)) else 1
+        config = isinstance(exc, ConfigError)
+        code = 2 if config else 3 if isinstance(exc, (PlanningError, RealizationError)) else 1
+        warnings.append(f"refsum: configuration error: {exc}" if config else f"refsum: {exc}")
+        output = None
+    for line in warnings:
+        print(line, file=sys.stderr)
+    if output is not None:
+        print(output)
+    return code
 
 
 if __name__ == "__main__":

@@ -60,21 +60,19 @@ class StaticCountProvider:
     blocking = False
 
     def __init__(self, counts: dict[str, int]) -> None:
+        """``counts`` must map each title to a non-negative int; anything else
+        raises ``ValueError``, and no value is coerced."""
+        if not isinstance(counts, dict):
+            raise ValueError(f"expected a JSON object, not {type(counts).__name__}")
+        for title, count in counts.items():
+            if type(count) is not int or count < 0:
+                raise ValueError(f"count {count!r} for {title!r} is not a non-negative integer")
         self._counts = {_norm(title): count for title, count in counts.items()}
 
     @classmethod
     def from_file(cls, path: str | Path) -> StaticCountProvider:
-        """Read a JSON object that maps each title to a non-negative int.
-
-        Anything else raises ``ValueError``; no value is coerced.
-        """
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"expected a JSON object, not {type(data).__name__}")
-        for title, count in data.items():
-            if type(count) is not int or count < 0:
-                raise ValueError(f"count {count!r} for {title!r} is not a non-negative integer")
-        return cls(data)
+        """Read a JSON object that maps each title to a non-negative int."""
+        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def resolve(self, title: str, family: str, year: int | None) -> int | None:
         return self._counts.get(_norm(title))

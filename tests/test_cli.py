@@ -130,13 +130,14 @@ def test_enrich_warms_cache_only(capsys, data_dir, tmp_path):
     assert code == 0
     assert out == ""
     assert "16 from provider" in err
-    assert (tmp_path / "citations.tsv").exists()
-    # second pass is all cache hits
+    # one line per hit; a second pass answers each from the cache and appends none
+    assert len((tmp_path / "citations.tsv").read_text().splitlines()) == 16
     code, _, err = _run(capsys, "enrich", str(data_dir / "fixture20.bib"),
                         "--provider", "mock",
                         "--counts", str(data_dir / "fixture20_counts.json"),
                         "--cache-dir", str(tmp_path))
-    assert "16 from cache" in err
+    assert "16 from cache, 0 from provider" in err
+    assert len((tmp_path / "citations.tsv").read_text().splitlines()) == 16
 
 
 def test_enrich_answers_from_a_cache_an_earlier_release_wrote(capsys, data_dir, tmp_path):

@@ -68,6 +68,18 @@ def test_counts_file_holding_anything_but_non_negative_ints_is_refused(tmp_path,
         StaticCountProvider.from_file(path)
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"T": -1}, "count -1 for 'T' is not a non-negative integer"),
+    ({"T": True}, "count True for 'T' is not a non-negative integer"),
+    ({"T": 3.0}, "count 3.0 for 'T' is not a non-negative integer"),
+    ([], "expected a JSON object, not list"),
+], ids=["negative", "bool", "float", "not-a-map"])
+def test_the_provider_checks_its_mapping_when_built(counts, message):
+    with pytest.raises(ValueError) as raised:
+        StaticCountProvider(counts)
+    assert str(raised.value) == message
+
+
 def test_a_counts_file_may_hold_a_zero_count(tmp_path):
     path = tmp_path / "counts.json"
     path.write_text('{"A": 0}')

@@ -198,6 +198,13 @@ def _cases() -> dict[str, dict]:
                                      _NOT_UTF8]},
         "cache-dir-is-a-file": {"argv": ["summarize", _BIB20, "--cache-dir", f"{TMP}/plain"],
                                 "files": {"plain": "x"}},
+        # A configuration error met after the input is read keeps the scan issues.
+        "cache-dir-is-a-file-after-scan-issues": {
+            "argv": ["summarize", "tests/data/malformed.bib", "--cache-dir", f"{TMP}/plain"],
+            "files": {"plain": "x"}},
+        "counts-missing-after-scan-issues": {
+            "argv": ["summarize", "tests/data/malformed.bib", "--provider", "mock", "--counts",
+                     "tests/data/missing.json"]},
         "taxonomy-bad-line": {"argv": ["summarize", _BIB20, "--taxonomy", f"{TMP}/bad.tax"],
                               "files": {"bad.tax": "one column only\n"}},
         "template-pack-missing": {"argv": ["summarize", *_FULL20, "--templates",
@@ -221,6 +228,10 @@ def _cases() -> dict[str, dict]:
         # Planning and realisation errors (exit 3).
         "prodset-without-counts": {"argv": ["summarize", _BIB20, "--algo", "prodset"]},
         "compare-without-counts": {"argv": ["compare", _BIB20, *_TAX]},
+        # Each section's failure follows the warnings its own profile gathered.
+        "compare-failures-in-order": {"argv": ["compare", _BIB20, "--templates",
+                                               f"{TMP}/intro.pack"],
+                                      "files": {"intro.pack": _PACK_WITHOUT_QUANT}},
         "template-pack-without-quant": {"argv": ["summarize", *_FULL20, "--templates",
                                                  f"{TMP}/intro.pack"],
                                         "files": {"intro.pack": _PACK_WITHOUT_QUANT}},
