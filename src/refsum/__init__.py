@@ -16,15 +16,13 @@ from .errors import (BibParseError, ConfigError, EmptySetError, InputError,
 from .names import PersonName, parse_person_names
 from .plan import (AuthorList, CategoricalQuant, CombinedYearSelfCite, ContinuousRange,
                    DocumentPlan, DominatingShape, FeatureWithComparison, GroupTopList,
-                   IntroWithLeadAttribute, Message, Paragraph, build_plan,
-                   build_prodset_plan, build_refset_plan, plan_to_text)
+                   IntroWithLeadAttribute, Message, Paragraph, build_plan, plan_to_text)
 from .profile import (AuthorScore, CategoricalDistribution, ComparisonResult,
                       ContinuousSummary, DistributionEntry,
                       GroupTop, GroupTopEntry, SetProfile,
                       build_profile, categorical_distribution, continuous_summary,
                       feature_importance, profile_to_text, quantifier_for,
-                      self_citation_share, subset_vs_superset, top_authors,
-                      top_reference_per_group)
+                      self_citation_share, top_authors, top_reference_per_group)
 from .realize import (RealizedSummary, aggregate_list, format_number,
                       format_percentage, format_year, realize)
 from .records import (CitingPaper, ReferenceRecord, TaxonomyRule, VenueTaxonomy,

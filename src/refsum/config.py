@@ -132,15 +132,6 @@ class SummaryConfig(Checked, _Summary):
     def continuous(self) -> tuple[AttributeSpec, ...]:
         return tuple(s for s in self.attributes if s.kind == "continuous")
 
-    def flags(self) -> tuple[AttributeSpec, ...]:
-        return tuple(s for s in self.attributes if s.kind == "flag")
-
-    def lead(self) -> AttributeSpec | None:
-        for spec in self.attributes:
-            if spec.role == "lead":
-                return spec
-        return None
-
     def listed(self) -> tuple[AttributeSpec, ...]:
         return tuple(s for s in self.attributes if s.role == "listed")
 

@@ -224,25 +224,20 @@ def enrich_citation_counts(
     counts go to the cache in one append before it returns, also when a
     lookup raises.
     """
-    looked_up = already_present = cache_hits = provider_hits = not_found = 0
+    missing = [i for i, record in enumerate(records) if record.citation_count is None]
     failures: list[tuple[str, str]] = []
-    counts: dict[int, int] = {}
+    counts: dict[int, int] = {}   # index -> count, from the cache and then the provider
     jobs: list[tuple[int, str, str | None]] = []   # (index, first-author family, key)
-    for i, record in enumerate(records):
-        if record.citation_count is not None:
-            already_present += 1
-            continue
-        looked_up += 1
+    for i in missing:
+        record = records[i]
         family = record.authors[0].family if record.authors else ""
         key = lookup_key(record.title, family, record.year) if cache is not None else None
         cached = cache.get(key) if key is not None else None
         if cached is not None:
-            cache_hits += 1
             counts[i] = cached
-        elif provider is None:
-            not_found += 1
-        else:
+        elif provider is not None:
             jobs.append((i, family, key))
+    cache_hits = len(counts)
 
     def fetch(job: tuple[int, str, str | None]) -> tuple[int | None, str | None]:
         i, family, _ = job
@@ -263,10 +258,7 @@ def enrich_citation_counts(
             for (i, _, key), (count, error) in zip(jobs, mapper(fetch, jobs)):
                 if error is not None:
                     failures.append((records[i].id, error))
-                elif count is None:
-                    not_found += 1
-                else:
-                    provider_hits += 1
+                elif count is not None:
                     counts[i] = count
                     if key is not None:
                         fetched[key] = count
@@ -281,5 +273,7 @@ def enrich_citation_counts(
         enriched[i] = ReferenceRecord(r.id, r.title, r.authors, r.year, r.venue_name,
                                       r.venue_type, r.domain, r.subdomain, count,
                                       r.self_citation)
-    return enriched, EnrichmentReport(looked_up, already_present, cache_hits, provider_hits,
-                                      not_found, failures)
+    return enriched, EnrichmentReport(
+        looked_up=len(missing), already_present=len(records) - len(missing),
+        cache_hits=cache_hits, provider_hits=len(counts) - cache_hits,
+        not_found=len(missing) - len(counts) - len(failures), failures=failures)

@@ -101,14 +101,12 @@ def _require_distribution(profile: SetProfile, attribute: str) -> CategoricalDis
     return dist
 
 
-def build_refset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPlan:
+def _refset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPlan:
     """Intro with the lead attribute, middle paragraphs in config order,
     author list last. The dominating column's own shape is never planned."""
-    lead = config.lead()
-    if lead is None:
-        raise PlanningError("missing profile fragment: lead attribute")
+    lead = next(spec.name for spec in config.attributes if spec.role == "lead")
     paragraphs = [Paragraph("intro", IntroWithLeadAttribute(
-        profile.total, _require_distribution(profile, lead.name)))]
+        profile.total, _require_distribution(profile, lead)))]
 
     combined_done = False
     for spec in config.attributes:
@@ -148,7 +146,7 @@ def build_refset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPla
     return DocumentPlan(algorithm="refset", paragraphs=tuple(paragraphs))
 
 
-def build_prodset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPlan:
+def _prodset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPlan:
     """Dominating shape first, then one feature paragraph per listed
     attribute in importance order, each with its superset comparison."""
     if profile.dominating_shape is None:
@@ -167,9 +165,10 @@ def build_prodset_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPl
 
 
 def build_plan(profile: SetProfile, config: SummaryConfig) -> DocumentPlan:
+    """The configured algorithm's plan of a profile built with the same config."""
     if config.algorithm == "prodset":
-        return build_prodset_plan(profile, config)
-    return build_refset_plan(profile, config)
+        return _prodset_plan(profile, config)
+    return _refset_plan(profile, config)
 
 
 def _field_text(name: str, value: Any) -> list[str]:

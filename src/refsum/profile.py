@@ -25,7 +25,6 @@ from .records import CitingPaper
 UNKNOWN = "unknown"
 
 _DEFAULT_QT = QuantifierThresholds()
-_DEFAULT_CB = ComparisonBands()
 
 
 # -- profile fragment types ---------------------------------------------------
@@ -167,6 +166,14 @@ class _Columns(list):
         return self._categories[attribute]
 
 
+def _columns(records: Sequence[Any]) -> _Columns:
+    """``records`` as columns, shared if they already are; an empty set raises."""
+    cols = records if type(records) is _Columns else _Columns(records)
+    if not cols:
+        raise EmptySetError("empty set")
+    return cols
+
+
 def _median(values: Sequence[float]) -> float:
     ordered = sorted(values)
     n = len(ordered)
@@ -199,9 +206,7 @@ def categorical_distribution(records: Sequence[Any], attribute: str,
     Records missing the attribute are counted under ``unknown``. Entries are
     sorted by proportion descending, ties by value name.
     """
-    cols = records if type(records) is _Columns else _Columns(records)
-    if not cols:
-        raise EmptySetError("empty set")
+    cols = _columns(records)
     counts = Counter(cols.categories(attribute))
     total = len(cols)
     entries = tuple(
@@ -214,9 +219,7 @@ def categorical_distribution(records: Sequence[Any], attribute: str,
 
 def continuous_summary(records: Sequence[Any], attribute: str) -> ContinuousSummary:
     """Range and median over the records where the attribute is present."""
-    cols = records if type(records) is _Columns else _Columns(records)
-    if not cols:
-        raise EmptySetError("empty set")
+    cols = _columns(records)
     values = cols.present(attribute)
     if not values:
         raise StatsError(f"attribute fully absent: {attribute}")
@@ -233,9 +236,7 @@ def top_reference_per_group(records: Sequence[Any], group_attribute: str,
     Records without a group value are left out of the groups but still count
     toward the share denominator.
     """
-    cols = records if type(records) is _Columns else _Columns(records)
-    if not cols:
-        raise EmptySetError("empty set")
+    cols = _columns(records)
     groups: dict[str, list[int]] = {}
     labels = cols.categories(group_attribute)   # as its distribution spells them
     for i, value in enumerate(cols.raw(group_attribute)):
@@ -356,17 +357,6 @@ def feature_importance(records: Sequence[Any], dominating_attribute: str,
     return tuple(ranking)
 
 
-def subset_vs_superset(subset_records: Sequence[Any], superset_records: Sequence[Any],
-                       dominating_attribute: str,
-                       bands: ComparisonBands = _DEFAULT_CB,
-                       *, attribute: str = "", feature_value: str = "",
-                       ) -> ComparisonResult:
-    """Vague comparison of a subset's dominating median against its superset's."""
-    return _compare(_Columns(subset_records).present(dominating_attribute),
-                    _Columns(superset_records).present(dominating_attribute),
-                    dominating_attribute, bands, attribute, feature_value)
-
-
 # build_profile draws each subset from shared columns; fresh columns per subset were 18% slower
 def _compare(sub_values: list[float], sup_values: list[float], dominating_attribute: str,
              bands: ComparisonBands, attribute: str, feature_value: str) -> ComparisonResult:
@@ -395,9 +385,7 @@ def _compare(sub_values: list[float], sup_values: list[float], dominating_attrib
 
 def self_citation_share(records: Sequence[Any]) -> float:
     """Fraction of records flagged as self-citations (absent flags count no)."""
-    cols = records if type(records) is _Columns else _Columns(records)
-    if not cols:
-        raise EmptySetError("empty set")
+    cols = _columns(records)
     return sum(1 for v in cols.raw("self_citation") if v is True) / len(cols)
 
 
@@ -432,7 +420,7 @@ def build_profile(citing: CitingPaper, config: SummaryConfig,
                   if (summary := degrade(continuous_summary, cols, spec.name)) is not None}
 
     share = None
-    if config.flags():  # the one flag a config may hold is self_citation
+    if any(spec.kind == "flag" for spec in config.attributes):  # only self_citation may be one
         if any(v is not None for v in cols.raw("self_citation")):
             share = self_citation_share(cols)
         else:

@@ -116,7 +116,7 @@ class CitingPaper(NamedTuple):
     references: tuple[ReferenceRecord, ...] = ()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)   # bounded and process-wide, as ``re`` keeps its patterns
 def _rule_regex(pattern: str) -> re.Pattern[str]:
     """A rule pattern's regex, compiled at its first use."""
     return re.compile(r"(?<![A-Za-z0-9])" + re.escape(pattern) + r"(?![A-Za-z0-9])",
@@ -128,9 +128,6 @@ class TaxonomyRule(NamedTuple):
     venue_type: str | None = None
     domain: str | None = None
     subdomain: str | None = None
-
-    def matches(self, venue_name: str) -> bool:
-        return _rule_regex(self.pattern).search(venue_name) is not None
 
 
 class VenueTaxonomy(NamedTuple):
@@ -144,7 +141,7 @@ class VenueTaxonomy(NamedTuple):
 
     def classify(self, venue_name: str) -> tuple[str | None, str | None, str | None]:
         for rule in self.rules:
-            if rule.matches(venue_name):
+            if _rule_regex(rule.pattern).search(venue_name):
                 return rule.venue_type, rule.domain, rule.subdomain
         return None, None, None
 

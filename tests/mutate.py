@@ -65,6 +65,9 @@ EQUIVALENT = {
         "memo bound: it sets how many distinct names stay cached, not what a parse returns",
     "records: _venue: 1024 -> 1025":
         "memo bound: it sets how many distinct venues stay cached, not what a lookup returns",
+    "records: _rule_regex: 4096 -> 4097":
+        "memo bound: it sets how many distinct rule patterns stay compiled, not what a rule "
+        "matches",
     "records: load_record_lines: 3 -> 4":
         "search bound: len(first_line) + 1 candidate ids already hold a free one, and the "
         "first free one is taken either way",

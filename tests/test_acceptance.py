@@ -11,16 +11,15 @@ import time
 
 from oracles import (brute_distribution, brute_group_tops, brute_importance,
                      brute_self_citation_share, brute_top_authors, serialize_entries)
-from refsum import (AuthorList, CitingPaper, IntroWithLeadAttribute, PersonName,
-                    ReferenceRecord, build_plan, build_profile,
-                    build_refset_plan, categorical_distribution,
-                    continuous_summary, default_prodset_config,
+from refsum import (AuthorList, CitingPaper, ComparisonBands, IntroWithLeadAttribute,
+                    PersonName, ReferenceRecord, build_plan, build_profile,
+                    categorical_distribution, continuous_summary, default_prodset_config,
                     default_refset_config, feature_importance,
                     load_template_pack, parse_bibtex, quantifier_for, realize,
-                    scan_bibtex, self_citation_share,
-                    subset_vs_superset, top_authors, top_reference_per_group)
+                    scan_bibtex, self_citation_share, top_authors, top_reference_per_group)
 from refsum.cli import main
 from refsum.config import AttributeSpec
+from refsum.profile import _compare
 from refsum.templates import PRICE_PACK_TEXT
 
 GOLDEN_VENUE = ("Most references (55%) are from proceedings. "
@@ -39,7 +38,7 @@ def test_criterion_1_golden_sentences(fixture20_paper):
     profile = build_profile(fixture20_paper, config)
     dist = profile.distributions["venue_type"]
     assert [e.proportion for e in dist.entries] == [0.55, 0.30, 0.15]
-    plan = build_refset_plan(profile, config)
+    plan = build_plan(profile, config)
     intro = realize(plan).paragraphs[0]
     assert intro.endswith(GOLDEN_VENUE)  # zero tolerance, character for character
     _ok(1, "55/30/15 fixture renders the three quantifier sentences exactly")
@@ -54,14 +53,14 @@ def test_criterion_2_comparison_exemplar():
                for i, p in enumerate(smart)]
     records += [{"id": f"b{i}", "price": p, "connectivity": "basic"}
                 for i, p in enumerate(basic)]
-    result = subset_vs_superset(records[:6], records, "price")
-    assert (result.subset_median, result.superset_median) == (475, 450)
-    assert (result.direction, result.magnitude) == ("higher", "slightly")
-
     config = default_prodset_config(
         attributes=(AttributeSpec("connectivity", "categorical", "listed"),),
         dominating="price")
     profile = build_profile(CitingPaper(references=tuple(records)), config)
+    result = profile.comparisons["connectivity"]
+    assert (result.feature_value, result.subset_median, result.superset_median) == \
+        ("smart-internet", 475, 450)
+    assert (result.direction, result.magnitude) == ("higher", "slightly")
     pack = load_template_pack(PRICE_PACK_TEXT + """
 [lexicon.connectivity]
 smart-internet = a Smart-Internet feature
@@ -77,7 +76,7 @@ basic = basic connectivity only
 def test_criterion_3_refset_structure(fixture20_paper):
     config = default_refset_config()
     assert config.author_k == 7
-    plan = build_refset_plan(build_profile(fixture20_paper, config), config)
+    plan = build_plan(build_profile(fixture20_paper, config), config)
     first, last = plan.paragraphs[0], plan.paragraphs[-1]
     assert isinstance(first.message, IntroWithLeadAttribute)
     assert first.message.distribution.attribute == "venue_type"
@@ -186,7 +185,11 @@ def test_criterion_5_invariances(fixture20_records):
             for i in range(24)]
     base_importance = [n for n, _ in
                        feature_importance(rows, "price", ["brand", "color"])]
-    base_direction = subset_vs_superset(rows[:9], rows, "price")
+
+    def versus(prices):
+        return _compare(prices[:9], prices, "price", ComparisonBands(), "", "")
+
+    base_direction = versus([r["price"] for r in rows])
     base_authors = [a.author.normalized_key for a in top_authors(rows, 7)]
     base_tops = {e.group_value: e.top_reference
                  for e in top_reference_per_group(rows, "subdomain").entries}
@@ -197,7 +200,7 @@ def test_criterion_5_invariances(fixture20_records):
         assert [n for n, _ in
                 feature_importance(priced, "price", ["brand", "color"])] == \
             base_importance
-        comparison = subset_vs_superset(priced[:9], priced, "price")
+        comparison = versus([r["price"] for r in priced])
         assert (comparison.direction, comparison.magnitude) == \
             (base_direction.direction, base_direction.magnitude)
         assert [a.author.normalized_key for a in top_authors(counted, 7)] == base_authors

@@ -171,6 +171,12 @@ def test_unbalanced_macro_costs_only_the_macro():
     assert [i.message for i in issues] == ["unbalanced braces in @string 'j'"]
 
 
+def test_a_bare_comment_without_a_group_is_skipped_with_no_issue():
+    entries, issues = scan_bibtex("@comment\n@misc{k, title={T}}\n")
+    assert [e.cite_key for e in entries] == ["k"]
+    assert issues == []
+
+
 def test_unbalanced_comment_costs_only_the_comment():
     text = ("@comment{ open {\n"
             "@article{a, title={A}, year=2020}\n"

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from refsum import (CountCache, ProviderError, ReferenceRecord,
                     ScholarLookupProvider, StaticCountProvider,
                     enrich_citation_counts, parse_person_names)
+from refsum.cli import main
 from refsum.enrich import _norm, lookup_key
 
 
@@ -189,6 +190,12 @@ def test_bytes_that_are_not_utf8_spoil_only_their_own_cache_line(tmp_path):
     (tmp_path / "citations.tsv").write_bytes(b"k1\t3\tx\nk2\t\xff\tx\nk3\t5\tx\n")
     cache = CountCache(tmp_path)
     assert (cache.get("k1"), cache.get("k2"), cache.get("k3")) == (3, None, 5)
+
+
+def test_an_empty_update_creates_neither_the_directory_nor_the_file(tmp_path):
+    directory = tmp_path / "cache"
+    CountCache(directory).update({})
+    assert not directory.exists()
 
 
 def test_concurrent_cache_writes_stay_intact(tmp_path):
@@ -410,6 +417,23 @@ def test_http_provider_failure_is_one_soft_line(fake_scholar, status, body, deta
     records, report = enrich_citation_counts([_record("a", "T")], provider)
     assert records[0].citation_count is None
     assert report.failures == [("a", f"lookup failed for 'T': {detail}")]
+
+
+def test_summarize_degrades_softly_when_every_http_answer_is_malformed(
+        fake_scholar, data_dir, capsys, monkeypatch):
+    monkeypatch.delenv("REFSUM_CACHE_DIR", raising=False)
+    fake_scholar.body = b"[]"
+    code = main(["summarize", str(data_dir / "fixture20.bib"),
+                 "--taxonomy", str(data_dir / "fixture.tax"), "--provider", "http",
+                 "--endpoint", f"http://127.0.0.1:{fake_scholar.server_address[1]}",
+                 "--paper-authors", "Alice Novak and Robert Chen"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == (data_dir / "golden" / "refset_offline.txt").read_text(encoding="utf-8")
+    report, *failures = err.splitlines()
+    assert report.endswith(" 0 not found, 20 failed")
+    assert len(failures) == len(fake_scholar.paths) == 20
+    assert all(line.endswith(": malformed response") for line in failures)
 
 
 def test_http_provider_opens_no_file_or_data_url(tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from refsum import (AuthorList, CategoricalQuant, CitingPaper, CombinedYearSelfCite,
                     ConfigError, DominatingShape, FeatureWithComparison, GroupTopList,
                     IntroWithLeadAttribute, PersonName, PlanningError, ReferenceRecord,
-                    build_prodset_plan, build_refset_plan, build_profile,
-                    default_prodset_config, default_refset_config, plan_to_text, realize)
+                    build_plan, build_profile, default_prodset_config,
+                    default_refset_config, plan_to_text, realize)
 from refsum.config import AttributeSpec
 from refsum.templates import default_pack
 
@@ -76,7 +76,7 @@ def test_invalid_summary_config_is_refused_when_built(make, overrides, message):
 
 
 def test_refset_default_plan_structure(refset_profile):
-    plan = build_refset_plan(refset_profile, default_refset_config())
+    plan = build_plan(refset_profile, default_refset_config())
     assert plan.algorithm == "refset"
     assert [p.label for p in plan.paragraphs] == \
         ["intro", "domain", "subdomain", "years", "authors"]
@@ -89,15 +89,14 @@ def test_refset_default_plan_structure(refset_profile):
 
 def test_refset_plan_is_pure(refset_profile):
     config = default_refset_config()
-    assert build_refset_plan(refset_profile, config) == \
-        build_refset_plan(refset_profile, config)
+    assert build_plan(refset_profile, config) == build_plan(refset_profile, config)
 
 
 def test_refset_skips_subdomains_when_all_absent(fixture20_paper):
     stripped = tuple(r._replace(subdomain=None, domain=None)
                      for r in fixture20_paper.references)
     profile = build_profile(CitingPaper(references=stripped), default_refset_config())
-    plan = build_refset_plan(profile, default_refset_config())
+    plan = build_plan(profile, default_refset_config())
     labels = [p.label for p in plan.paragraphs]
     assert "subdomain" not in labels
     assert "domain" not in labels  # all-unknown distribution is skipped too
@@ -109,7 +108,7 @@ def test_refset_skips_years_when_neither_years_nor_flags_are_known(fixture20_pap
                      for r in fixture20_paper.references)
     warnings: list[str] = []
     profile = build_profile(CitingPaper(references=stripped), default_refset_config(), warnings)
-    plan = build_refset_plan(profile, default_refset_config())
+    plan = build_plan(profile, default_refset_config())
     assert [p.label for p in plan.paragraphs] == ["intro", "domain", "subdomain", "authors"]
     assert warnings == ["profile: attribute fully absent: year",
                         "profile: self-citation flags never derived"]
@@ -119,15 +118,24 @@ def test_refset_zero_selfcitation_share_still_planned(fixture20_paper):
     cleared = tuple(r._replace(self_citation=False)
                     for r in fixture20_paper.references)
     profile = build_profile(CitingPaper(references=cleared), default_refset_config())
-    plan = build_refset_plan(profile, default_refset_config())
+    plan = build_plan(profile, default_refset_config())
     years = next(p for p in plan.paragraphs if p.label == "years")
     assert years.message.share == 0.0
+
+
+def test_refset_skips_a_listed_continuous_attribute_that_is_fully_absent(fixture20_paper):
+    config = default_refset_config(attributes=(_LEAD, AttributeSpec("pages", "continuous",
+                                                                     "listed")))
+    warnings: list[str] = []
+    plan = build_plan(build_profile(fixture20_paper, config, warnings), config)
+    assert [p.label for p in plan.paragraphs] == ["intro", "authors"]
+    assert warnings == ["profile: attribute fully absent: pages"]
 
 
 def test_refset_plans_a_listed_continuous_attribute_as_its_range(fixture20_paper):
     config = default_refset_config(attributes=(_LEAD, AttributeSpec("year", "continuous",
                                                                     "listed")))
-    plan = build_refset_plan(build_profile(fixture20_paper, config), config)
+    plan = build_plan(build_profile(fixture20_paper, config), config)
     assert [p.label for p in plan.paragraphs] == ["intro", "year", "authors"]
     assert "message\tContinuousRange\tattribute=year" in plan_to_text(plan).splitlines()
     assert realize(plan, default_pack()).paragraphs[1] == \
@@ -139,7 +147,7 @@ def test_refset_years_come_from_the_continuous_combined_attribute(fixture20_pape
     flag_first = config._replace(attributes=(*config.attributes[:3], config.attributes[4],
                                              config.attributes[3]))
     profile = build_profile(fixture20_paper, flag_first)
-    years = next(p for p in build_refset_plan(profile, flag_first).paragraphs
+    years = next(p for p in build_plan(profile, flag_first).paragraphs
                  if p.label == "years")
     assert years.message.summary == profile.continuous["year"]
     assert years.message.share == profile.self_citation_share
@@ -148,7 +156,7 @@ def test_refset_years_come_from_the_continuous_combined_attribute(fixture20_pape
 def test_refset_plans_a_year_range_without_a_self_citation_share(fixture20_paper):
     unflagged = tuple(r._replace(self_citation=None) for r in fixture20_paper.references)
     profile = build_profile(CitingPaper(references=unflagged), default_refset_config())
-    years = next(p for p in build_refset_plan(profile, default_refset_config()).paragraphs
+    years = next(p for p in build_plan(profile, default_refset_config()).paragraphs
                  if p.label == "years")
     assert years.message == CombinedYearSelfCite(profile.continuous["year"], None)
 
@@ -160,7 +168,7 @@ def test_refset_authors_with_one_counted_paper_each_are_counted():
                     for i in range(3))
     profile = build_profile(CitingPaper(references=records), default_refset_config())
     assert {a.counted_papers for a in profile.top_authors} == {1}
-    authors = build_refset_plan(profile, default_refset_config()).paragraphs[-1].message
+    authors = build_plan(profile, default_refset_config()).paragraphs[-1].message
     assert authors == AuthorList(profile.top_authors, True)
 
 
@@ -168,16 +176,17 @@ def test_refset_missing_fragment_names_it(refset_profile):
     config = default_refset_config()
     broken = refset_profile._replace(distributions={})
     with pytest.raises(PlanningError, match="venue_type"):
-        build_refset_plan(broken, config)
+        build_plan(broken, config)
 
 
-def test_a_refset_plan_of_a_config_without_a_lead_attribute_is_refused(prodset_profile):
-    with pytest.raises(PlanningError, match="^missing profile fragment: lead attribute$"):
-        build_refset_plan(prodset_profile, default_prodset_config())
+def test_a_refset_profile_without_a_group_top_is_refused(refset_profile):
+    broken = refset_profile._replace(group_tops={})
+    with pytest.raises(PlanningError, match="^missing profile fragment: group top 'subdomain'$"):
+        build_plan(broken, default_refset_config())
 
 
 def test_refset_never_plans_dominating_shape(refset_profile):
-    plan = build_refset_plan(refset_profile, default_refset_config())
+    plan = build_plan(refset_profile, default_refset_config())
     kinds = {type(p.message) for p in plan.paragraphs}
     assert DominatingShape not in kinds
 
@@ -191,13 +200,13 @@ def test_attribute_order_controls_middle_paragraphs(refset_profile):
         config.attributes[2],   # subdomain (grouping)
         config.attributes[1],   # domain (listed)
     ))
-    plan = build_refset_plan(refset_profile, reordered)
+    plan = build_plan(refset_profile, reordered)
     assert [p.label for p in plan.paragraphs] == \
         ["intro", "years", "subdomain", "domain", "authors"]
 
 
 def test_prodset_plan_shape_first_then_importance_order(prodset_profile):
-    plan = build_prodset_plan(prodset_profile, default_prodset_config())
+    plan = build_plan(prodset_profile, default_prodset_config())
     assert plan.algorithm == "prodset"
     assert plan.paragraphs[0].label == "shape"
     assert isinstance(plan.paragraphs[0].message, DominatingShape)
@@ -213,7 +222,7 @@ def test_prodset_single_listed_feature_gives_two_paragraphs(fixture20_paper):
     config = default_prodset_config()
     config = config._replace(attributes=(config.attributes[0],))
     profile = build_profile(fixture20_paper, config)
-    plan = build_prodset_plan(profile, config)
+    plan = build_plan(profile, config)
     assert len(plan.paragraphs) == 2
 
 
@@ -222,7 +231,7 @@ def test_prodset_requires_dominating_values():
     config = default_prodset_config()
     profile = build_profile(CitingPaper(references=records), config)
     with pytest.raises(PlanningError, match="dominating"):
-        build_prodset_plan(profile, config)
+        build_plan(profile, config)
 
 
 def test_prodset_with_one_dominating_value_has_no_feature_importance():
@@ -232,12 +241,12 @@ def test_prodset_with_one_dominating_value_has_no_feature_importance():
     profile = build_profile(CitingPaper(references=records), config)
     assert profile.dominating_shape is not None and profile.importance is None
     with pytest.raises(PlanningError, match="^missing profile fragment: feature importance$"):
-        build_prodset_plan(profile, config)
+        build_plan(profile, config)
 
 
 def test_every_configured_attribute_in_exactly_one_message(refset_profile):
     config = default_refset_config()
-    plan = build_refset_plan(refset_profile, config)
+    plan = build_plan(refset_profile, config)
     seen: list[str] = []
     for message in (paragraph.message for paragraph in plan.paragraphs):
         if isinstance(message, IntroWithLeadAttribute):
@@ -253,7 +262,7 @@ def test_every_configured_attribute_in_exactly_one_message(refset_profile):
 
 
 def test_plan_to_text_is_stable(refset_profile):
-    plan = build_refset_plan(refset_profile, default_refset_config())
+    plan = build_plan(refset_profile, default_refset_config())
     text = plan_to_text(plan)
     assert text.splitlines()[0] == "plan\trefset"
     assert text == plan_to_text(plan)

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from oracles import (brute_distribution, brute_group_tops, brute_importance,
                      brute_median, brute_self_citation_share, brute_top_authors)
-from refsum import (CitingPaper, EmptySetError, ReferenceRecord,
+from refsum import (CitingPaper, ComparisonBands, EmptySetError, ReferenceRecord,
                     StatsError, categorical_distribution, continuous_summary,
                     default_prodset_config, default_refset_config,
                     feature_importance, parse_person_names,
-                    self_citation_share, subset_vs_superset, top_authors,
+                    self_citation_share, top_authors,
                     top_reference_per_group)
-from refsum.profile import build_profile, profile_to_text, quantifier_for
+from refsum.profile import _compare, build_profile, profile_to_text, quantifier_for
 
 
 def _records(spec):
@@ -92,6 +94,26 @@ def test_distribution_of_a_boolean_attribute_reads_true_and_false():
 def test_distribution_empty_set():
     with pytest.raises(EmptySetError):
         categorical_distribution([], "venue_type")
+
+
+@pytest.mark.parametrize("statistic", [continuous_summary, top_reference_per_group])
+def test_a_statistic_of_an_empty_set_raises(statistic):
+    with pytest.raises(EmptySetError, match="^empty set$"):
+        statistic([], "year")
+
+
+def test_an_object_that_lacks_the_attribute_reads_as_absent():
+    records = [SimpleNamespace(price=4), SimpleNamespace(), SimpleNamespace(price=8)]
+    assert continuous_summary(records, "price") == \
+        continuous_summary([{"price": 4}, {"price": 8}], "price")
+
+
+def test_a_float_subclass_is_a_number():
+    class Price(float):
+        pass
+
+    summary = continuous_summary([{"price": Price(2.5)}, {"price": 4}], "price")
+    assert (summary.minimum, summary.count) == (2.5, 2)
 
 
 def test_distribution_matches_oracle(fixture20_records):
@@ -347,37 +369,37 @@ def test_importance_needs_two_dominating_values():
 
 # -- subset vs superset ---------------------------------------------------------------
 
-def _priced(values):
-    return [{"id": i, "price": v} for i, v in enumerate(values)]
+def _versus(sub_values, sup_values):
+    return _compare(sub_values, sup_values, "price", ComparisonBands(), "", "")
 
 
 def test_comparison_paper_exemplar():
-    result = subset_vs_superset(_priced([475]), _priced([450]), "price")
+    result = _versus([475], [450])
     assert (result.direction, result.magnitude) == ("higher", "slightly")
     assert (result.subset_median, result.superset_median) == (475, 450)
 
 
 def test_comparison_equal_medians():
-    result = subset_vs_superset(_priced([450]), _priced([450]), "price")
+    result = _versus([450], [450])
     assert (result.direction, result.magnitude) == ("same", "same")
 
 
 def test_comparison_much_higher():
-    result = subset_vs_superset(_priced([600]), _priced([450]), "price")
+    result = _versus([600], [450])
     assert (result.direction, result.magnitude) == ("higher", "much")
 
 
 def test_comparison_lower_band():
-    result = subset_vs_superset(_priced([400]), _priced([450]), "price")
+    result = _versus([400], [450])
     assert (result.direction, result.magnitude) == ("lower", "slightly")
 
 
 def test_comparison_zero_superset_median_forced_much():
-    result = subset_vs_superset(_priced([10]), _priced([0]), "price")
+    result = _versus([10], [0])
     assert (result.direction, result.magnitude) == ("higher", "much")
-    result = subset_vs_superset(_priced([0.5]), _priced([0]), "price")
+    result = _versus([0.5], [0])
     assert (result.direction, result.magnitude) == ("higher", "much")
-    result = subset_vs_superset(_priced([0]), _priced([0]), "price")
+    result = _versus([0], [0])
     assert (result.direction, result.magnitude) == ("same", "same")
 
 

@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import (brute_author_names, brute_distribution, brute_group_tops,
                      brute_importance, brute_median, brute_self_citation_share,
                      brute_top_authors, get)
-from refsum import (CitingPaper, PersonName, ReferenceRecord, SetProfile,
+from refsum import (CitingPaper, ComparisonBands, PersonName, ReferenceRecord, SetProfile,
                     StatsError, categorical_distribution, continuous_summary,
                     default_prodset_config, default_refset_config,
                     feature_importance, quantifier_for,
-                    self_citation_share, subset_vs_superset, top_authors,
-                    top_reference_per_group)
-from refsum.profile import build_profile, profile_to_text
+                    self_citation_share, top_authors, top_reference_per_group)
+from refsum.profile import _compare, build_profile, profile_to_text
 
 _FAMILIES = ["smith", "lee", "wong", "garcia", "novak", "chen", "sato", "olsen"]
 _GIVENS = ["A", "B", "J", "K", "M", ""]
@@ -179,14 +178,18 @@ def test_ordinal_outputs_scale_invariant(rows):
             for i, (price, brand, color) in enumerate(rows)]
     base_importance = [n for n, _ in
                        feature_importance(base, "price", ["brand", "color"])]
-    top = base[:max(1, len(base) // 2)]
-    base_cmp = subset_vs_superset(top, base, "price")
+    half = max(1, len(base) // 2)
+
+    def versus(prices):
+        return _compare(prices[:half], prices, "price", ComparisonBands(), "", "")
+
+    base_cmp = versus([r["price"] for r in base])
     for c in (0.5, 3, 1000):
         scaled = [dict(r, price=r["price"] * c) for r in base]
         ranking = [n for n, _ in
                    feature_importance(scaled, "price", ["brand", "color"])]
         assert ranking == base_importance
-        comparison = subset_vs_superset(scaled[:max(1, len(base) // 2)], scaled, "price")
+        comparison = versus([r["price"] for r in scaled])
         assert (comparison.direction, comparison.magnitude) == \
             (base_cmp.direction, base_cmp.magnitude)
 
@@ -246,8 +249,15 @@ def _category(value):
     return str(value)
 
 
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return value
+
+
 def _profile_from_public_statistics(records, config, warnings):
-    """build_profile's fragments, each from one public statistic on the plain list."""
+    """build_profile's fragments, each from one public statistic on the plain list;
+    each comparison compares values this function selects record by record."""
     qt = config.quantifier_thresholds
 
     def degrade(statistic, *args, prefix="", **kwargs):
@@ -262,7 +272,7 @@ def _profile_from_public_statistics(records, config, warnings):
     continuous = {s.name: summary for s in config.continuous()
                   if (summary := degrade(continuous_summary, records, s.name)) is not None}
     share = None
-    if config.flags():
+    if any(s.kind == "flag" for s in config.attributes):
         if any(get(r, "self_citation") is not None for r in records):
             share = self_citation_share(records)
         else:
@@ -277,12 +287,14 @@ def _profile_from_public_statistics(records, config, warnings):
         shape = degrade(continuous_summary, records, config.dominating)
         listed = [s.name for s in config.listed()]
         importance = degrade(feature_importance, records, config.dominating, listed)
+        superset = [v for r in records if (v := _number(get(r, config.dominating))) is not None]
         for attribute in listed:
             top_value = distributions[attribute].entries[0].value
-            subset = [r for r in records if _category(get(r, attribute)) == top_value]
-            comparison = degrade(subset_vs_superset, subset, records, config.dominating,
-                                 config.comparison_bands, attribute=attribute,
-                                 feature_value=top_value, prefix=f"{attribute}: ")
+            subset = [v for r in records if _category(get(r, attribute)) == top_value
+                      and (v := _number(get(r, config.dominating))) is not None]
+            comparison = degrade(_compare, subset, superset, config.dominating,
+                                 config.comparison_bands, attribute, top_value,
+                                 prefix=f"{attribute}: ")
             if comparison is not None:
                 comparisons[attribute] = comparison
     return SetProfile(total=len(records), distributions=distributions, continuous=continuous,

@@ -10,7 +10,7 @@ from refsum import (AuthorList, CategoricalQuant, CitingPaper, CombinedYearSelfC
                     FeatureWithComparison, GroupTopList, IntroWithLeadAttribute,
                     Message, Paragraph, RealizationError,
                     ReferenceRecord, TemplateError,
-                    aggregate_list, build_plan, build_profile, build_refset_plan,
+                    aggregate_list, build_plan, build_profile,
                     default_prodset_config, default_refset_config, format_number,
                     format_percentage, format_year, load_template_pack,
                     price_pack, realize)

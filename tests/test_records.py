@@ -13,11 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (brute_de_latex, brute_family_key, brute_load_record_lines,
                      brute_name_clean)
 from refsum import (ConfigError, PersonName, RawEntry, ReferenceRecord, StaticCountProvider,
-                    de_latex, derive_self_citations, enrich_citation_counts,
-                    load_record_lines, load_taxonomy, load_taxonomy_file, parse_bibtex,
-                    parse_person_names, to_reference_record)
+                    TaxonomyRule, VenueTaxonomy, de_latex, derive_self_citations,
+                    enrich_citation_counts, load_record_lines, load_taxonomy,
+                    load_taxonomy_file, parse_bibtex, parse_person_names, to_reference_record)
 from refsum.names import _parse_one
-from refsum.records import _venue
+from refsum.records import _rule_regex, _venue
 from refsum.errors import RecordFileError
 from refsum.names import _clean
 
@@ -58,6 +58,7 @@ def test_the_key_field_leaves_equality_hash_repr_and_replace_as_they_were():
     assert name == PersonName(family="Smith", given="John")
     assert name != PersonName("Smith", "J.")   # the same key, another name
     assert hash(name) == hash(("Smith", "John"))
+    assert not name == ("Smith", "John")   # it hashes like the pair but is no tuple
     assert repr(name) == "PersonName(family='Smith', given='John')"
     moved = name._replace(given="Kim")
     assert (moved, moved.normalized_key) == (PersonName("Smith", "Kim"), "smith.k")
@@ -265,9 +266,18 @@ def test_records_are_equal_with_the_memos_cleared_and_warm(data_dir):
     assert (_parse_one.cache_info().misses, _venue.cache_info().misses) == misses
 
 
-@pytest.mark.parametrize("memo", [_parse_one, _venue])
+@pytest.mark.parametrize("memo", [_parse_one, _venue, _rule_regex])
 def test_each_memo_is_bounded(memo):
     assert type(memo.cache_info().maxsize) is int
+
+
+def test_classifying_with_many_taxonomies_keeps_the_rule_regex_memo_bounded():
+    _rule_regex.cache_clear()
+    for i in range(5000):
+        VenueTaxonomy((TaxonomyRule(f"venue{i}"),)).classify("a venue")
+    info = _rule_regex.cache_info()
+    assert info.currsize < 5000
+    assert info.currsize == info.maxsize
 
 
 def test_year_out_of_range_dropped():

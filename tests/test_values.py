@@ -86,6 +86,8 @@ def test_a_value_refuses_attribute_assignment(value):
     for field in type(value)._fields:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
     with pytest.raises(AttributeError):
         value.extra = 1
     assert not hasattr(value, "extra")
